@@ -48,17 +48,14 @@ fn main() {
     ];
     let mut isa_cfgs = Vec::new();
     // The paper's Algorithm 6 pivot kernels (CPU = AVX2, KNL = AVX-512)
-    // plus this reproduction's extensions: the block kernel (see
+    // plus this reproduction's block kernel extension (see
     // ppscan_intersect::simd_block for why the pivot kernels only pay off
-    // on in-order cores like KNL's) and the hash-family kernels
-    // (FESIA-style bitmap pruning and the shuffling small-set kernel).
+    // on in-order cores like KNL's).
     for kernel in [
         Kernel::PivotAvx2,
         Kernel::PivotAvx512,
         Kernel::BlockAvx2,
         Kernel::BlockAvx512,
-        Kernel::Fesia,
-        Kernel::Shuffling,
     ] {
         if kernel.available() {
             header.push(format!("{kernel} speedup"));

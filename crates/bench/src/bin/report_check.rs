@@ -30,8 +30,8 @@
 //! cargo run --release -p ppscan-bench --bin report_check -- \
 //!     target/reports/table1.json --baseline crates/bench/baselines/table1_quick.json
 //! cargo run --release -p ppscan-bench --bin report_check -- \
-//!     target/reports/sched_overhead.json \
-//!     --baseline crates/bench/baselines/sched_overhead_quick.json --check-runs
+//!     target/reports/obs_overhead.json \
+//!     --baseline crates/bench/baselines/obs_overhead_quick.json --check-runs
 //! ```
 //!
 //! Every checked run — bare or inside a figure report — additionally

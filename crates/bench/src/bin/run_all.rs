@@ -26,14 +26,13 @@ const BINS: [&str; 11] = [
     "fig8_roll",
     "ablation_edorder",
 ];
-const EXTRA_BINS: [&str; 7] = [
+const EXTRA_BINS: [&str; 6] = [
     "ablation_twophase",
     "ablation_sched",
     "parameter_exploration",
     "obs_overhead",
     "serve_bench",
     "soak",
-    "autotune_bench",
 ];
 
 fn main() {

@@ -459,9 +459,6 @@ pub fn diff_runs(baseline: &FigureReport, got: &FigureReport, opt: &RunDiffOptio
                 ));
             }
         }
-        // Only machine-independent counters belong here: the autotune
-        // win-mix (`autotune_wins_*`) is decided by measured timings and
-        // legitimately differs across machines, so it is not compared.
         let counters = [
             (
                 "compsim_invocations",
@@ -472,26 +469,6 @@ pub fn diff_runs(baseline: &FigureReport, got: &FigureReport, opt: &RunDiffOptio
                 "elements_scanned",
                 base.counters.elements_scanned,
                 run.counters.elements_scanned,
-            ),
-            (
-                "autotune_samples",
-                base.counters.autotune_samples,
-                run.counters.autotune_samples,
-            ),
-            (
-                "autotune_buckets",
-                base.counters.autotune_buckets,
-                run.counters.autotune_buckets,
-            ),
-            (
-                "autotune_planned",
-                base.counters.autotune_planned,
-                run.counters.autotune_planned,
-            ),
-            (
-                "autotune_fallback",
-                base.counters.autotune_fallback,
-                run.counters.autotune_fallback,
             ),
         ];
         for (name, b, g) in counters {

@@ -35,7 +35,6 @@
 pub mod anyscan;
 pub mod params;
 pub mod ppscan;
-pub mod precomp;
 pub mod pscan;
 pub mod race_fixtures;
 pub mod report;
@@ -51,7 +50,7 @@ pub mod verify;
 /// Convenient glob import for the public API.
 pub mod prelude {
     pub use crate::params::ScanParams;
-    pub use crate::ppscan::{self, PpScanConfig, ReverseLookup};
+    pub use crate::ppscan::{self, PpScanConfig};
     pub use crate::pscan;
     pub use crate::report;
     pub use crate::result::{Clustering, Role, UnclusteredClass};

@@ -39,52 +39,11 @@ use crate::result::Clustering;
 use crate::timing::StageTimings;
 use ppscan_graph::CsrGraph;
 use ppscan_intersect::counters::CounterScope;
-use ppscan_intersect::{AutotuneConfig, Kernel, KernelPrecomp};
+use ppscan_intersect::Kernel;
 use ppscan_obs::{Collector, RunReport, Span};
-use ppscan_sched::{
-    ExecutionStrategy, PoolMetrics, SchedulerKind, WorkerPool, DEFAULT_DEGREE_THRESHOLD,
-};
+use ppscan_sched::{ExecutionStrategy, PoolMetrics, WorkerPool, DEFAULT_DEGREE_THRESHOLD};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How phase-2 similarity reuse locates the reverse directed slot
-/// `e(v, u)` when publishing a label computed at `e(u, v)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum ReverseLookup {
-    /// O(1) lookup through the graph's precomputed reverse-edge index
-    /// (`CsrGraph::rev_offset`).
-    #[default]
-    Index,
-    /// The paper's original O(log d) binary search in `v`'s sorted
-    /// neighbor list. Kept so `sched_overhead` and ablations can measure
-    /// what the index buys.
-    BinarySearch,
-}
-
-impl ReverseLookup {
-    /// Harness display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReverseLookup::Index => "index",
-            ReverseLookup::BinarySearch => "binary-search",
-        }
-    }
-
-    /// Parses a name as printed by [`ReverseLookup::name`].
-    pub fn parse(s: &str) -> Option<ReverseLookup> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "index" => Some(ReverseLookup::Index),
-            "binary-search" | "search" => Some(ReverseLookup::BinarySearch),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ReverseLookup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Execution configuration for ppSCAN.
 #[derive(Clone, Debug)]
@@ -102,13 +61,6 @@ pub struct PpScanConfig {
     /// schedule; `AdversarialSeeded` to replay hostile interleavings from
     /// a seed (the differential stress driver sweeps all three).
     pub strategy: ExecutionStrategy,
-    /// Dispatch backend of the worker pool: the persistent work-stealing
-    /// pool by default, or the legacy spawn-per-dispatch shared queue
-    /// for the `sched_overhead` ablation.
-    pub scheduler: SchedulerKind,
-    /// Reverse-slot lookup used by similarity value reuse: the
-    /// precomputed index by default, binary search for ablations.
-    pub reverse_lookup: ReverseLookup,
     /// Whether the run activates its own span collector + kernel counter
     /// scope and fills the output's [`RunReport`] with per-worker phase
     /// metrics and counters. On by default; `bin/obs_overhead` measures
@@ -120,13 +72,6 @@ pub struct PpScanConfig {
     /// long-lived hosts (serving, soak benches) that sample a registry
     /// while runs execute; one-shot runs report post-hoc instead.
     pub metrics: Option<Arc<PoolMetrics>>,
-    /// Pre-built kernel precomputation to reuse (e.g. the GS*-Index's,
-    /// or a previous run's over the same graph). `None` by default:
-    /// when the configured kernel wants one
-    /// ([`crate::precomp::wants_precomp`]), the run builds it at start —
-    /// outside the counter scope, so plan measurement never pollutes the
-    /// run's invocation counters.
-    pub precomp: Option<Arc<KernelPrecomp>>,
 }
 
 impl Default for PpScanConfig {
@@ -136,11 +81,8 @@ impl Default for PpScanConfig {
             kernel: Kernel::Adaptive,
             degree_threshold: DEFAULT_DEGREE_THRESHOLD,
             strategy: ExecutionStrategy::Parallel,
-            scheduler: SchedulerKind::default(),
-            reverse_lookup: ReverseLookup::default(),
             observe: true,
             metrics: None,
-            precomp: None,
         }
     }
 }
@@ -172,18 +114,6 @@ impl PpScanConfig {
         self
     }
 
-    /// Builder-style scheduler-backend override.
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Builder-style reverse-lookup override.
-    pub fn reverse_lookup(mut self, lookup: ReverseLookup) -> Self {
-        self.reverse_lookup = lookup;
-        self
-    }
-
     /// Builder-style observation toggle.
     pub fn observe(mut self, observe: bool) -> Self {
         self.observe = observe;
@@ -193,12 +123,6 @@ impl PpScanConfig {
     /// Builder-style live pool-metrics attachment.
     pub fn metrics(mut self, metrics: Option<Arc<PoolMetrics>>) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Builder-style precomputation reuse.
-    pub fn precomp(mut self, precomp: Option<Arc<KernelPrecomp>>) -> Self {
-        self.precomp = precomp;
         self
     }
 }
@@ -231,33 +155,11 @@ pub fn ppscan_ablation(
     config: &PpScanConfig,
     skip_cluster_phase_one: bool,
 ) -> PpScanOutput {
-    let pool = WorkerPool::with_scheduler(config.threads, config.strategy, config.scheduler);
+    let pool = WorkerPool::with_strategy(config.threads, config.strategy);
     if let Some(metrics) = &config.metrics {
         pool.attach_metrics(Arc::clone(metrics));
     }
-    let mut shared = shared::Shared::new(g, params, config.kernel, config.strategy);
-    shared.rev_lookup = config.reverse_lookup;
-    // Kernel precomputation: reuse the config's if supplied, build one
-    // when the kernel wants it. Like the reverse-edge index, the
-    // precomp is a per-graph amortized structure, resolved before the
-    // measured window — and before the counter scope activates, because
-    // autotune plan measurement invokes real kernels whose counts must
-    // not pollute this run's `compsim_invocations`.
-    let precomp = match (
-        &config.precomp,
-        crate::precomp::wants_precomp(config.kernel),
-    ) {
-        (Some(pre), _) => Some(Arc::clone(pre)),
-        (None, true) => Some(Arc::new(crate::precomp::build_kernel_precomp(
-            g,
-            params,
-            config.kernel,
-            &AutotuneConfig::default(),
-        ))),
-        (None, false) => None,
-    };
-    shared.precomp = precomp.clone();
-    let shared = shared;
+    let shared = shared::Shared::new(g, params, config.kernel, config.strategy);
     let mut timings = StageTimings::default();
 
     // Observation: a collector + counter scope for this run, activated
@@ -269,13 +171,6 @@ pub fn ppscan_ablation(
     let guards = config
         .observe
         .then(|| (collector.activate(), scope.activate()));
-    if guards.is_some() {
-        // The plan's build-time summary (samples, planned buckets,
-        // per-family win mix) is charged to this run's scope explicitly.
-        if let Some(stats) = precomp.as_deref().and_then(KernelPrecomp::plan) {
-            ppscan_intersect::counters::record_autotune_plan(stats.stats());
-        }
-    }
     let wall = Instant::now();
 
     // ---- Role computing (Algorithm 3) ----
@@ -462,69 +357,6 @@ mod tests {
         // Round-trips through JSON.
         let parsed = ppscan_obs::RunReport::parse(&r.to_json_string()).unwrap();
         assert_eq!(&parsed, r);
-    }
-
-    #[test]
-    fn autotuned_run_reports_decision_mix_and_is_exact() {
-        let g = gen::roll(500, 24, 6);
-        let p = ScanParams::new(0.4, 3);
-        let expected = pscan(&g, p).clustering;
-        let cfg = PpScanConfig::with_threads(2).kernel(Kernel::Autotuned);
-        let out = ppscan(&g, p, &cfg);
-        assert_eq!(out.clustering, expected);
-        let c = &out.report.counters;
-        assert!(c.autotune_samples > 0, "plan summary flows into the report");
-        assert!(
-            c.autotune_planned + c.autotune_fallback > 0,
-            "every dispatch is attributed planned-or-fallback"
-        );
-        if c.autotune_buckets > 0 {
-            assert_eq!(
-                c.autotune_buckets,
-                c.autotune_wins_merge
-                    + c.autotune_wins_gallop
-                    + c.autotune_wins_block
-                    + c.autotune_wins_fesia
-                    + c.autotune_wins_shuffle,
-                "win mix partitions the planned buckets"
-            );
-        }
-        // The report (with its new counters) round-trips through JSON.
-        let parsed = ppscan_obs::RunReport::parse(&out.report.to_json_string()).unwrap();
-        assert_eq!(&parsed, &out.report);
-        // Reusing the precomp across runs answers identically.
-        let shared_pre = Arc::new(crate::precomp::build_kernel_precomp(
-            &g,
-            p,
-            Kernel::Autotuned,
-            &AutotuneConfig::default(),
-        ));
-        let cfg2 = cfg.clone().precomp(Some(shared_pre));
-        assert_eq!(ppscan(&g, p, &cfg2).clustering, expected);
-    }
-
-    #[test]
-    fn deterministic_strategy_is_reproducible_for_autotuned() {
-        // Seeded sampling + fixed bucket order: two SequentialDeterministic
-        // runs agree exactly — clustering and sample counters alike (the
-        // measured winners may differ between runs, but every candidate
-        // kernel is exact, so outputs cannot).
-        let g = gen::roll(400, 16, 9);
-        let p = ScanParams::new(0.5, 3);
-        let cfg = PpScanConfig::with_threads(1)
-            .kernel(Kernel::Autotuned)
-            .strategy(ppscan_sched::ExecutionStrategy::SequentialDeterministic);
-        let a = ppscan(&g, p, &cfg);
-        let b = ppscan(&g, p, &cfg);
-        assert_eq!(a.clustering, b.clustering);
-        assert_eq!(
-            a.report.counters.autotune_samples,
-            b.report.counters.autotune_samples
-        );
-        assert_eq!(
-            a.report.counters.compsim_invocations > 0,
-            b.report.counters.compsim_invocations > 0
-        );
     }
 
     #[test]

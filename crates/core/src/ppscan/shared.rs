@@ -6,10 +6,9 @@ use crate::result::Role;
 use crate::simstore::SimStore;
 use ppscan_graph::rng::SplitMix64;
 use ppscan_graph::{CsrGraph, VertexId};
-use ppscan_intersect::{Kernel, KernelPrecomp, PrecompCtx, Similarity};
+use ppscan_intersect::{Kernel, Similarity};
 use ppscan_sched::ExecutionStrategy;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
 
 /// Test-only inter-loop publication hook (see `Shared::between_loops`).
 #[cfg(test)]
@@ -24,14 +23,6 @@ pub(crate) struct Shared<'g> {
     pub g: &'g CsrGraph,
     pub params: ScanParams,
     pub kernel: Kernel,
-    /// How [`Shared::comp_sim_both`] locates the reverse directed slot
-    /// (defaults to the precomputed index; see [`super::ReverseLookup`]).
-    pub rev_lookup: super::ReverseLookup,
-    /// Per-graph kernel precomputation (FESIA hashed layouts, measured
-    /// autotune plan), when the configured kernel uses one. `None` for
-    /// the classic kernels — the empty [`PrecompCtx`] costs nothing on
-    /// their call path.
-    pub precomp: Option<Arc<KernelPrecomp>>,
     pub sim: SimStore,
     /// Under the sequential-deterministic schedule no concurrent writer
     /// exists, so per-vertex invariants (`sd == ed` after the counting
@@ -68,8 +59,6 @@ impl<'g> Shared<'g> {
             g,
             params,
             kernel,
-            rev_lookup: super::ReverseLookup::default(),
-            precomp: None,
             sim: SimStore::new(g.num_directed_edges()),
             strict_invariants: strategy == ExecutionStrategy::SequentialDeterministic,
             yield_seed: match strategy {
@@ -177,20 +166,12 @@ impl<'g> Shared<'g> {
     /// `CompSim(u, v)` for the slot `eo = e(u, v)`: runs the configured
     /// kernel and publishes the label at **both** directed slots
     /// (similarity value reuse, §3.2.1). The reverse offset comes from
-    /// the graph's precomputed reverse-edge index in O(1) by default;
-    /// [`super::ReverseLookup::BinarySearch`] restores the paper's
-    /// O(log d) search in `v`'s sorted neighbors for ablations.
+    /// the graph's precomputed reverse-edge index in O(1), where the
+    /// paper binary-searches `v`'s sorted neighbors.
     pub fn comp_sim_both(&self, u: VertexId, v: VertexId, eo: usize) -> Similarity {
         let label = self.comp_sim_value(u, v);
         self.sim.set(eo, label);
-        let rev = match self.rev_lookup {
-            super::ReverseLookup::Index => self.g.rev_offset(eo),
-            super::ReverseLookup::BinarySearch => self
-                .g
-                .edge_offset(v, u)
-                .expect("undirected graph must contain the reverse edge"),
-        };
-        self.sim.set(rev, label);
+        self.sim.set(self.g.rev_offset(eo), label);
         label
     }
 
@@ -205,10 +186,6 @@ impl<'g> Shared<'g> {
     fn comp_sim_value(&self, u: VertexId, v: VertexId) -> Similarity {
         let (nu, nv) = (self.g.neighbors(u), self.g.neighbors(v));
         let min_cn = self.params.min_cn(nu.len(), nv.len());
-        let ctx = match &self.precomp {
-            Some(pre) => PrecompCtx::new(pre, u, v),
-            None => PrecompCtx::NONE,
-        };
-        self.kernel.check_pre(ctx, nu, nv, min_cn)
+        self.kernel.check(nu, nv, min_cn)
     }
 }

@@ -107,15 +107,6 @@ pub fn counters_from(snapshot: ppscan_intersect::counters::CounterSnapshot) -> K
         elements_scanned: snapshot.elements_scanned,
         adaptive_gallop: snapshot.adaptive_gallop,
         adaptive_block: snapshot.adaptive_block,
-        autotune_samples: snapshot.autotune_samples,
-        autotune_buckets: snapshot.autotune_buckets,
-        autotune_wins_merge: snapshot.autotune_wins_merge,
-        autotune_wins_gallop: snapshot.autotune_wins_gallop,
-        autotune_wins_block: snapshot.autotune_wins_block,
-        autotune_wins_fesia: snapshot.autotune_wins_fesia,
-        autotune_wins_shuffle: snapshot.autotune_wins_shuffle,
-        autotune_planned: snapshot.autotune_planned,
-        autotune_fallback: snapshot.autotune_fallback,
     }
 }
 

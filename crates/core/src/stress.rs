@@ -49,7 +49,7 @@ use ppscan_graph::{gen, CsrGraph, VertexId};
 use ppscan_intersect::Kernel;
 use ppscan_obs::json::Json;
 use ppscan_obs::RunReport;
-use ppscan_sched::{ExecutionStrategy, SchedulerKind};
+use ppscan_sched::ExecutionStrategy;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -59,7 +59,7 @@ type RunFn = Box<dyn Fn(&CsrGraph) -> Clustering>;
 type FailsFn<'a> = &'a dyn Fn(&[(VertexId, VertexId)]) -> bool;
 
 /// What the stress driver sweeps. The defaults satisfy the harness's
-/// acceptance envelope: 3 thread counts × all 3 strategies × 2 kernels.
+/// acceptance envelope: 3 thread counts × all 3 strategies × 3 kernels.
 #[derive(Clone, Debug)]
 pub struct StressConfig {
     /// Base seed; case `i` uses `master_seed + i`.
@@ -70,10 +70,6 @@ pub struct StressConfig {
     pub thread_counts: Vec<usize>,
     /// Schedule strategies for ppSCAN.
     pub strategies: Vec<ExecutionStrategy>,
-    /// Scheduler backends for ppSCAN. Backends must be result-invariant,
-    /// so the sweep crosses them with every parallel strategy (the
-    /// caller-thread strategies ignore the backend and are swept once).
-    pub schedulers: Vec<SchedulerKind>,
     /// `CompSim` kernels for ppSCAN.
     pub kernels: Vec<Kernel>,
     /// (ε, µ) grid.
@@ -131,15 +127,7 @@ impl Default for StressConfig {
                 ExecutionStrategy::SequentialDeterministic,
                 ExecutionStrategy::AdversarialSeeded { seed: 0xdead_beef },
             ],
-            schedulers: vec![SchedulerKind::WorkStealing, SchedulerKind::SharedQueue],
-            kernels: vec![
-                Kernel::MergeEarly,
-                Kernel::auto(),
-                Kernel::Adaptive,
-                Kernel::Fesia,
-                Kernel::Shuffling,
-                Kernel::Autotuned,
-            ],
+            kernels: vec![Kernel::MergeEarly, Kernel::auto(), Kernel::Adaptive],
             params: vec![(0.3, 2), (0.5, 3), (0.8, 4)],
             check_baselines: true,
             degree_threshold: 8,
@@ -165,8 +153,6 @@ pub struct FailingCase {
     pub threads: Option<usize>,
     /// Schedule strategy (ppSCAN failures only).
     pub strategy: Option<ExecutionStrategy>,
-    /// Scheduler backend (ppSCAN failures only).
-    pub scheduler: Option<SchedulerKind>,
     /// Failing ε.
     pub eps: f64,
     /// Failing µ.
@@ -195,9 +181,6 @@ impl std::fmt::Display for FailingCase {
         }
         if let Some(s) = self.strategy {
             write!(f, " strategy={s}")?;
-        }
-        if let Some(s) = self.scheduler {
-            write!(f, " scheduler={s}")?;
         }
         writeln!(f, " eps={} mu={}", self.eps, self.mu)?;
         writeln!(f, "shrunk graph: {:?}", self.edges)?;
@@ -236,10 +219,6 @@ impl FailingCase {
             Some(s) => format!("Some(ppscan_sched::ExecutionStrategy::{s:?})"),
             None => "None".to_string(),
         };
-        let scheduler = match self.scheduler {
-            Some(s) => format!("Some(ppscan_sched::SchedulerKind::{s:?})"),
-            None => "None".to_string(),
-        };
         format!(
             "#[test]\n\
              fn regression_case_{seed:016x}_{algo}() {{\n\
@@ -250,7 +229,6 @@ impl FailingCase {
              \x20       kernel: {kernel},\n\
              \x20       threads: {threads:?},\n\
              \x20       strategy: {strategy},\n\
-             \x20       scheduler: {scheduler},\n\
              \x20       eps: {eps:?},\n\
              \x20       mu: {mu},\n\
              \x20       edges: vec!{edges:?},\n\
@@ -266,7 +244,6 @@ impl FailingCase {
             kernel = kernel,
             threads = self.threads,
             strategy = strategy,
-            scheduler = scheduler,
             eps = self.eps,
             mu = self.mu,
             edges = self.edges,
@@ -291,9 +268,6 @@ impl FailingCase {
         }
         if let Some(s) = self.strategy {
             fields.push(("strategy".to_string(), Json::Str(s.to_string())));
-        }
-        if let Some(s) = self.scheduler {
-            fields.push(("scheduler".to_string(), Json::Str(s.to_string())));
         }
         fields.push(("eps".to_string(), Json::Num(self.eps)));
         fields.push(("mu".to_string(), Json::from_u64(self.mu as u64)));
@@ -335,10 +309,6 @@ impl FailingCase {
             Some(s) => Some(ExecutionStrategy::parse(s.as_str()?)?),
             None => None,
         };
-        let scheduler = match json.get("scheduler") {
-            Some(s) => Some(SchedulerKind::parse(s.as_str()?)?),
-            None => None,
-        };
         let mut edges = Vec::new();
         for e in json.get("edges")?.as_arr()? {
             let pair = e.as_arr()?;
@@ -355,7 +325,6 @@ impl FailingCase {
             kernel,
             threads,
             strategy,
-            scheduler,
             eps: json.get("eps")?.as_f64()?,
             mu: usize::try_from(json.get("mu")?.as_u64()?).ok()?,
             edges,
@@ -370,14 +339,12 @@ impl FailingCase {
             .strategy
             .map_or("none".into(), |s| s.to_string())
             .replace(['(', ')'], "-");
-        let scheduler = self.scheduler.map_or("none".into(), |s| s.to_string());
         format!(
-            "case-{:016x}-{}-{}-{}-{}-t{}.json",
+            "case-{:016x}-{}-{}-{}-t{}.json",
             self.case_seed,
             self.algorithm,
             kernel,
             strategy,
-            scheduler,
             self.threads.unwrap_or(0),
         )
     }
@@ -399,8 +366,7 @@ impl FailingCase {
             _ => {
                 let cfg = PpScanConfig::with_threads(threads)
                     .kernel(self.kernel.unwrap_or_default())
-                    .strategy(self.strategy.unwrap_or_default())
-                    .scheduler(self.scheduler.unwrap_or_default());
+                    .strategy(self.strategy.unwrap_or_default());
                 Box::new(move |g| ppscan(g, p, &cfg).clustering)
             }
         };
@@ -561,40 +527,26 @@ pub fn replay_case(case_seed: u64, cfg: &StressConfig) -> Result<u64, Box<Failin
             }
             for &threads in &cfg.thread_counts {
                 for &strategy in &cfg.strategies {
-                    for (si, &scheduler) in cfg.schedulers.iter().enumerate() {
-                        // Caller-thread strategies never touch the
-                        // backend; sweeping them once is enough.
-                        let backend_matters = matches!(
-                            strategy,
-                            ExecutionStrategy::Parallel
-                                | ExecutionStrategy::AdversarialSeeded { .. }
-                        );
-                        if si > 0 && !backend_matters {
-                            continue;
-                        }
-                        checked += 1;
-                        let run_cfg = PpScanConfig::with_threads(threads)
-                            .kernel(kernel)
-                            .strategy(strategy)
-                            .scheduler(scheduler)
-                            .degree_threshold(cfg.degree_threshold);
-                        let got = ppscan(&g, p, &run_cfg).clustering;
-                        if got != reference {
-                            return Err(report(
-                                case_seed,
-                                &g,
-                                "ppscan",
-                                Some(kernel),
-                                Some(threads),
-                                Some(strategy),
-                                Some(scheduler),
-                                eps,
-                                mu,
-                                &got,
-                                cfg,
-                                &|g| ppscan(g, p, &run_cfg).clustering,
-                            ));
-                        }
+                    checked += 1;
+                    let run_cfg = PpScanConfig::with_threads(threads)
+                        .kernel(kernel)
+                        .strategy(strategy)
+                        .degree_threshold(cfg.degree_threshold);
+                    let got = ppscan(&g, p, &run_cfg).clustering;
+                    if got != reference {
+                        return Err(report(
+                            case_seed,
+                            &g,
+                            "ppscan",
+                            Some(kernel),
+                            Some(threads),
+                            Some(strategy),
+                            eps,
+                            mu,
+                            &got,
+                            cfg,
+                            &|g| ppscan(g, p, &run_cfg).clustering,
+                        ));
                     }
                 }
             }
@@ -650,7 +602,6 @@ fn check_baselines(
                 None,
                 *t,
                 None,
-                None,
                 p.epsilon.as_f64(),
                 p.mu,
                 &got,
@@ -672,7 +623,6 @@ fn report(
     kernel: Option<Kernel>,
     threads: Option<usize>,
     strategy: Option<ExecutionStrategy>,
-    scheduler: Option<SchedulerKind>,
     eps: f64,
     mu: usize,
     got: &Clustering,
@@ -700,7 +650,6 @@ fn report(
         kernel,
         threads,
         strategy,
-        scheduler,
         eps,
         mu,
         edges,
@@ -901,7 +850,6 @@ mod tests {
                 ExecutionStrategy::Parallel,
                 ExecutionStrategy::AdversarialSeeded { seed: 0xbeef },
             ],
-            schedulers: vec![SchedulerKind::WorkStealing, SchedulerKind::SharedQueue],
             kernels: vec![Kernel::MergeEarly],
             params: vec![(0.5, 2)],
             check_baselines: false,
@@ -929,7 +877,6 @@ mod tests {
             kernel: Some(Kernel::MergeEarly),
             threads: Some(4),
             strategy: Some(ExecutionStrategy::AdversarialSeeded { seed: 7 }),
-            scheduler: Some(SchedulerKind::WorkStealing),
             eps: 0.5,
             mu: 3,
             edges: vec![(0, 1), (1, 2)],
@@ -969,10 +916,9 @@ mod tests {
 
     #[test]
     fn failing_case_roundtrips_every_kernel() {
-        // The sweep's kernel axis now includes the hash/shuffling/
-        // autotuned kernels: record/replay must survive each of them
-        // (serialized by name, parsed back, and emitted replayably in
-        // the generated regression body).
+        // Record/replay must survive every kernel (serialized by name,
+        // parsed back, and emitted replayably in the generated
+        // regression body).
         for kernel in Kernel::ALL {
             let case = FailingCase {
                 kernel: Some(kernel),
@@ -1106,7 +1052,6 @@ mod tests {
             kernel: Some(Kernel::MergeEarly),
             threads: Some(4),
             strategy: Some(ExecutionStrategy::AdversarialSeeded { seed: 7 }),
-            scheduler: Some(SchedulerKind::WorkStealing),
             eps: 0.5,
             mu: 3,
             edges: vec![(0, 1)],

@@ -291,8 +291,7 @@ impl CsrGraph {
     /// Binary-search reference implementation of [`Self::rev_offset`]:
     /// recovers the source vertex of slot `eo` from `offsets`, then
     /// searches the destination's neighbor list. Kept public as the
-    /// fallback path, for the ablation benches, and for the
-    /// index-agreement property tests.
+    /// fallback path and for the index-agreement property tests.
     ///
     /// # Panics
     ///

@@ -62,9 +62,15 @@ pub fn write_edge_list<W: Write>(graph: &CsrGraph, mut w: W) -> io::Result<()> {
 
 const BINARY_MAGIC: &[u8; 8] = b"PPSCANG1";
 
-/// Writes the compact binary CSR format:
-/// magic, n (u64), offsets as u64 deltas… actually plain u64 offsets,
-/// then neighbors as u32.
+/// Most elements [`read_binary`] reserves for an array before reading
+/// it. The header's counts are untrusted, so longer arrays grow as their
+/// data arrives: a header that overstates them ends in an
+/// `UnexpectedEof` error, not in an allocation of the claimed size.
+const MAX_RESERVE: usize = 1 << 20;
+
+/// Writes the compact binary CSR format, all little-endian: the magic,
+/// `n` as u64, the `n + 1` CSR offsets as u64, then the neighbors as
+/// u32.
 pub fn write_binary<W: Write>(graph: &CsrGraph, mut w: W) -> io::Result<()> {
     w.write_all(BINARY_MAGIC)?;
     let n = graph.num_vertices() as u64;
@@ -91,7 +97,7 @@ pub fn read_binary<R: Read>(mut r: R) -> io::Result<CsrGraph> {
     let mut buf8 = [0u8; 8];
     r.read_exact(&mut buf8)?;
     let n = u64::from_le_bytes(buf8) as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
+    let mut offsets = Vec::with_capacity(n.saturating_add(1).min(MAX_RESERVE));
     for _ in 0..=n {
         r.read_exact(&mut buf8)?;
         offsets.push(u64::from_le_bytes(buf8) as usize);
@@ -99,11 +105,11 @@ pub fn read_binary<R: Read>(mut r: R) -> io::Result<CsrGraph> {
     let m = *offsets
         .last()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty offsets array"))?;
-    let mut neighbors = vec![0 as VertexId; m];
+    let mut neighbors: Vec<VertexId> = Vec::with_capacity(m.min(MAX_RESERVE));
     let mut buf4 = [0u8; 4];
-    for slot in neighbors.iter_mut() {
+    for _ in 0..m {
         r.read_exact(&mut buf4)?;
-        *slot = u32::from_le_bytes(buf4);
+        neighbors.push(u32::from_le_bytes(buf4));
     }
     let g = CsrGraph::from_sorted_parts_unchecked(offsets, neighbors);
     g.validate()
@@ -171,6 +177,23 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_binary(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_lying_headers() {
+        // 2^40 vertices with no offsets behind them, and a valid
+        // two-vertex header whose last offset claims 2^40 slots: each
+        // must end in an error, not in an abort on a terabyte allocation.
+        let headers: [(u64, &[u64]); 2] = [(1 << 40, &[]), (2, &[0, 1, 1 << 40])];
+        for (n, offsets) in headers {
+            let mut buf = BINARY_MAGIC.to_vec();
+            buf.extend_from_slice(&n.to_le_bytes());
+            for off in offsets {
+                buf.extend_from_slice(&off.to_le_bytes());
+            }
+            let err = read_binary(&buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "n = {n}");
+        }
     }
 
     #[test]

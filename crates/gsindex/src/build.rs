@@ -3,8 +3,7 @@
 
 use crate::{GsIndex, SimValue};
 use ppscan_graph::{CsrGraph, VertexId};
-use ppscan_intersect::count::count_with;
-use ppscan_intersect::KernelPrecomp;
+use ppscan_intersect::count::count;
 use ppscan_sched::{WorkerPool, DEFAULT_DEGREE_THRESHOLD};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -13,19 +12,6 @@ impl<'g> GsIndex<'g> {
     /// `d[u] + d[v]`) — the exhaustive cost the ppSCAN paper criticizes,
     /// amortized over every later query.
     pub fn build(graph: &'g CsrGraph, threads: usize) -> GsIndex<'g> {
-        GsIndex::build_with(graph, threads, None)
-    }
-
-    /// [`build`](Self::build) with an optional kernel precomputation:
-    /// when `precomp` carries FESIA structures for `graph`, pass 1's
-    /// exact counts go through the hash kernel (falling back to the
-    /// merge count per pair when an entry is stale or missing). The
-    /// precomp must have been built over *this* graph's adjacency.
-    pub fn build_with(
-        graph: &'g CsrGraph,
-        threads: usize,
-        precomp: Option<&KernelPrecomp>,
-    ) -> GsIndex<'g> {
         let pool = WorkerPool::new(threads);
         let n = graph.num_vertices();
         let m2 = graph.num_directed_edges();
@@ -46,9 +32,7 @@ impl<'g> GsIndex<'g> {
                         if v <= u {
                             continue;
                         }
-                        let c = count_with(precomp.map(|p| (p, u, v)), nu, graph.neighbors(v))
-                            as u32
-                            + 2;
+                        let c = count(nu, graph.neighbors(v)) as u32 + 2;
                         cn[eo].store(c, Ordering::Relaxed);
                         let rev = graph.rev_offset(eo);
                         cn[rev].store(c, Ordering::Relaxed);
@@ -196,21 +180,6 @@ mod tests {
             let expected = g.vertices().filter(|&u| g.degree(u) >= mu).count();
             assert_eq!(slice.len(), expected);
         }
-    }
-
-    #[test]
-    fn build_with_fesia_precomp_is_bit_identical() {
-        use ppscan_intersect::fesia::FesiaPrecomp;
-        use ppscan_intersect::KernelPrecomp;
-        let g = gen::planted_partition(3, 18, 0.55, 0.06, 21);
-        let avg = g.num_directed_edges() as f64 / g.num_vertices() as f64;
-        let fesia = FesiaPrecomp::build(g.num_vertices(), avg, |u| g.neighbors(u));
-        let pre = KernelPrecomp::new(Some(fesia), None);
-        let plain = GsIndex::build(&g, 2);
-        let hashed = GsIndex::build_with(&g, 2, Some(&pre));
-        assert_eq!(plain.neighbor_order, hashed.neighbor_order);
-        assert_eq!(plain.core_order, hashed.core_order);
-        assert_eq!(plain.co_offsets, hashed.co_offsets);
     }
 
     #[test]

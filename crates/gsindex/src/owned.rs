@@ -10,8 +10,6 @@ use crate::GsIndex;
 use ppscan_core::params::ScanParams;
 use ppscan_core::result::Clustering;
 use ppscan_graph::CsrGraph;
-use ppscan_intersect::fesia::FesiaPrecomp;
-use ppscan_intersect::KernelPrecomp;
 use std::sync::Arc;
 
 /// A [`GsIndex`] together with the graph it indexes, as one owned unit.
@@ -26,41 +24,12 @@ pub struct OwnedGsIndex {
     /// of its own, so this ordering is belt and braces.
     index: GsIndex<'static>,
     graph: Arc<CsrGraph>,
-    /// Kernel precomputation the index was built with, if any. Carried
-    /// across [`apply_delta`](Self::apply_delta) (repaired per touched
-    /// vertex, never rebuilt) so every rebuild after the first reuses
-    /// the hashed layouts.
-    precomp: Option<Arc<KernelPrecomp>>,
 }
 
 impl OwnedGsIndex {
     /// Builds the index over `graph` with `threads` workers, taking
-    /// shared ownership of the graph. No kernel precomputation: pass 1
-    /// uses the plain SIMD count, which is the right default for a
-    /// one-shot build.
+    /// shared ownership of the graph.
     pub fn build(graph: Arc<CsrGraph>, threads: usize) -> OwnedGsIndex {
-        OwnedGsIndex::build_inner(graph, threads, None)
-    }
-
-    /// [`build`](Self::build), but first constructs a FESIA kernel
-    /// precomputation over the graph and routes pass 1's counts through
-    /// it. The precomp is kept on the returned index and *repaired* (not
-    /// rebuilt) by [`apply_delta`](Self::apply_delta), so its build cost
-    /// amortizes over the index's whole update lifetime. Opt-in because
-    /// it trades ~O(m) extra memory and build work for faster counts.
-    pub fn build_with_precomp(graph: Arc<CsrGraph>, threads: usize) -> OwnedGsIndex {
-        let n = graph.num_vertices();
-        let avg = graph.num_directed_edges() as f64 / n.max(1) as f64;
-        let fesia = FesiaPrecomp::build(n, avg, |u| graph.neighbors(u));
-        let precomp = Arc::new(KernelPrecomp::new(Some(fesia), None));
-        OwnedGsIndex::build_inner(graph, threads, Some(precomp))
-    }
-
-    fn build_inner(
-        graph: Arc<CsrGraph>,
-        threads: usize,
-        precomp: Option<Arc<KernelPrecomp>>,
-    ) -> OwnedGsIndex {
         // SAFETY: the reference is only valid while the Arc keeps the
         // graph alive. The Arc lives in the same struct, is never
         // replaced, and the pointee is behind a stable heap allocation
@@ -69,30 +38,15 @@ impl OwnedGsIndex {
         // implementation detail.
         let g: &'static CsrGraph = unsafe { &*Arc::as_ptr(&graph) };
         OwnedGsIndex {
-            index: GsIndex::build_with(g, threads, precomp.as_deref()),
+            index: GsIndex::build(g, threads),
             graph,
-            precomp,
         }
     }
 
     /// Assembles an owned index from an already-built `GsIndex` whose
     /// graph borrow is backed by `graph` (the incremental update path).
-    pub(crate) fn from_parts(
-        index: GsIndex<'static>,
-        graph: Arc<CsrGraph>,
-        precomp: Option<Arc<KernelPrecomp>>,
-    ) -> OwnedGsIndex {
-        OwnedGsIndex {
-            index,
-            graph,
-            precomp,
-        }
-    }
-
-    /// The kernel precomputation this index carries, if it was built
-    /// with one (see [`build_with_precomp`](Self::build_with_precomp)).
-    pub fn precomp(&self) -> Option<&Arc<KernelPrecomp>> {
-        self.precomp.as_ref()
+    pub(crate) fn from_parts(index: GsIndex<'static>, graph: Arc<CsrGraph>) -> OwnedGsIndex {
+        OwnedGsIndex { index, graph }
     }
 
     /// The wrapped index, borrowed at `self`'s lifetime.
@@ -115,12 +69,9 @@ impl OwnedGsIndex {
         self.index.max_mu()
     }
 
-    /// Approximate heap footprint of index plus graph (plus the kernel
-    /// precomputation, when carried), in bytes.
+    /// Approximate heap footprint of index plus graph, in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.index.heap_bytes()
-            + self.graph.heap_bytes()
-            + self.precomp.as_deref().map_or(0, KernelPrecomp::heap_bytes)
+        self.index.heap_bytes() + self.graph.heap_bytes()
     }
 }
 
@@ -142,22 +93,6 @@ mod tests {
         }
         assert_eq!(owned.max_mu(), borrowed.max_mu());
         assert!(owned.heap_bytes() > borrowed.heap_bytes());
-    }
-
-    #[test]
-    fn precomp_build_answers_like_plain_build() {
-        let g = Arc::new(gen::planted_partition(3, 14, 0.6, 0.04, 9));
-        let plain = OwnedGsIndex::build(Arc::clone(&g), 2);
-        let hashed = OwnedGsIndex::build_with_precomp(Arc::clone(&g), 2);
-        assert!(plain.precomp().is_none());
-        let pre = hashed.precomp().expect("precomp is carried");
-        assert!(pre.fesia().is_some(), "gsindex precomp is the hash layout");
-        assert!(pre.plan().is_none(), "no autotune plan on the count path");
-        for mu in [1usize, 2, 4] {
-            let p = ScanParams::new(0.5, mu);
-            assert_eq!(plain.query(p), hashed.query(p));
-        }
-        assert!(hashed.heap_bytes() > plain.heap_bytes());
     }
 
     #[test]

@@ -23,8 +23,7 @@
 use crate::{GsIndex, OwnedGsIndex, SimValue};
 use ppscan_graph::delta::{AppliedDelta, DeltaError, GraphDelta};
 use ppscan_graph::{CsrGraph, VertexId};
-use ppscan_intersect::count::count_with;
-use ppscan_intersect::KernelPrecomp;
+use ppscan_intersect::count::count;
 use ppscan_obs::Span;
 use ppscan_sched::WorkerPool;
 use std::collections::HashMap;
@@ -81,35 +80,8 @@ impl OwnedGsIndex {
         // returned struct, never escapes at `'static`, and the pointee
         // is a stable heap allocation.
         let g: &'static CsrGraph = unsafe { &*Arc::as_ptr(&graph) };
-        // When the index carries a kernel precomp, repair its entries
-        // for the edit endpoints against the *new* adjacency before any
-        // recount: an endpoint whose neighbor list changed but kept its
-        // length would otherwise pass the staleness guard and count
-        // against a stale layout. Untouched entries stay valid — their
-        // adjacency is bit-identical across the delta.
-        let precomp: Option<Arc<KernelPrecomp>> = self.precomp().map(|pre| {
-            let mut touched: Vec<VertexId> = inserted
-                .iter()
-                .chain(deleted.iter())
-                .flat_map(|&(u, v)| [u, v])
-                .collect();
-            touched.sort_unstable();
-            touched.dedup();
-            let mut repaired = (**pre).clone();
-            if let Some(f) = repaired.fesia_mut() {
-                f.repair(&touched, |u| g.neighbors(u));
-            }
-            Arc::new(repaired)
-        });
-        let (index, stats) = incremental(
-            self.index(),
-            g,
-            &inserted,
-            &deleted,
-            pool,
-            precomp.as_deref(),
-        );
-        Ok((OwnedGsIndex::from_parts(index, graph, precomp), stats))
+        let (index, stats) = incremental(self.index(), g, &inserted, &deleted, pool);
+        Ok((OwnedGsIndex::from_parts(index, graph), stats))
     }
 }
 
@@ -124,7 +96,6 @@ pub(crate) fn incremental<'n>(
     inserted: &[(VertexId, VertexId)],
     deleted: &[(VertexId, VertexId)],
     pool: &WorkerPool,
-    precomp: Option<&KernelPrecomp>,
 ) -> (GsIndex<'n>, UpdateStats) {
     let g_old = old.graph;
     let n = g_new.num_vertices();
@@ -174,12 +145,7 @@ pub(crate) fn incremental<'n>(
             pairs.into_iter().map(|p| (p, 0)).collect();
         pool.run_mut(&mut jobs, |job| {
             let (u, v) = job.0;
-            job.1 = count_with(
-                precomp.map(|p| (p, u, v)),
-                g_new.neighbors(u),
-                g_new.neighbors(v),
-            ) as u32
-                + 2;
+            job.1 = count(g_new.neighbors(u), g_new.neighbors(v)) as u32 + 2;
         });
         jobs.into_iter().collect()
     };
@@ -721,31 +687,6 @@ mod tests {
             let (next, _) = owned.apply_delta(&delta, 2).unwrap();
             let fresh = GsIndex::build(next.graph(), 2);
             assert_index_equivalent(next.index(), &fresh);
-            owned = next;
-        }
-    }
-
-    #[test]
-    fn chained_updates_with_precomp_stay_consistent() {
-        // Same discipline as `chained_updates_stay_consistent`, but with
-        // the FESIA precomp carried across every apply: each batch must
-        // repair the edit endpoints' entries (a stale same-length entry
-        // would silently corrupt counts) and still match a from-scratch
-        // build exactly.
-        let g = gen::roll(120, 6, 17);
-        let mut owned = OwnedGsIndex::build_with_precomp(Arc::new(g), 2);
-        let buckets = owned.precomp().unwrap().fesia().unwrap().buckets();
-        for step in 0..8u64 {
-            let delta = random_delta(owned.graph(), 3, 2, 1000 + step);
-            let (next, _) = owned.apply_delta(&delta, 2).unwrap();
-            let fresh = GsIndex::build(next.graph(), 2);
-            assert_index_equivalent(next.index(), &fresh);
-            let pre = next.precomp().expect("precomp survives apply_delta");
-            assert_eq!(
-                pre.fesia().unwrap().buckets(),
-                buckets,
-                "repair keeps the bucket layout"
-            );
             owned = next;
         }
     }

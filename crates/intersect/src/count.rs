@@ -15,26 +15,6 @@
 use crate::counters;
 use crate::merge;
 
-/// [`count`] with an optional per-graph precomputation: when `pre`
-/// carries a FESIA layout with live entries for both vertices, the
-/// hash-pruned [`crate::fesia::count_pre`] path answers; otherwise this
-/// is exactly [`count`]. Index construction threads its precomp through
-/// here so rebuilds after the first reuse the hashed layouts.
-pub fn count_with(
-    pre: Option<(&crate::autotune::KernelPrecomp, u32, u32)>,
-    a: &[u32],
-    b: &[u32],
-) -> u64 {
-    if let Some((p, u, v)) = pre {
-        if let Some(f) = p.fesia() {
-            if let Some(c) = crate::fesia::count_pre(f, u, v, a, b) {
-                return c;
-            }
-        }
-    }
-    count(a, b)
-}
-
 /// Exact `|a ∩ b|` for sorted, strictly increasing slices, using the
 /// widest SIMD available.
 pub fn count(a: &[u32], b: &[u32]) -> u64 {

@@ -57,22 +57,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 
 /// Number of distinct counters a scope tracks.
-const N: usize = 13;
+const N: usize = 4;
 
 // Slot indexes into the counter arrays.
 const IDX_INVOCATIONS: usize = 0;
 const IDX_SCANNED: usize = 1;
 const IDX_ADAPTIVE_GALLOP: usize = 2;
 const IDX_ADAPTIVE_BLOCK: usize = 3;
-const IDX_AUTOTUNE_SAMPLES: usize = 4;
-const IDX_AUTOTUNE_BUCKETS: usize = 5;
-const IDX_AUTOTUNE_WINS_MERGE: usize = 6;
-const IDX_AUTOTUNE_WINS_GALLOP: usize = 7;
-const IDX_AUTOTUNE_WINS_BLOCK: usize = 8;
-const IDX_AUTOTUNE_WINS_FESIA: usize = 9;
-const IDX_AUTOTUNE_WINS_SHUFFLE: usize = 10;
-const IDX_AUTOTUNE_PLANNED: usize = 11;
-const IDX_AUTOTUNE_FALLBACK: usize = 12;
 
 struct ScopeInner {
     counts: [AtomicU64; N],
@@ -122,27 +113,6 @@ pub struct CounterSnapshot {
     /// Invocations [`crate::Kernel::Adaptive`] routed to the block/pivot
     /// kernel (balanced pair). Zero for every other kernel.
     pub adaptive_block: u64,
-    /// `(len_a, len_b)` pairs the autotuner sampled while building its
-    /// plan (zero unless [`crate::Kernel::Autotuned`] ran).
-    pub autotune_samples: u64,
-    /// Size/skew buckets the autotuner measured and planned a winner for.
-    pub autotune_buckets: u64,
-    /// Buckets whose measured winner is the merge kernel.
-    pub autotune_wins_merge: u64,
-    /// Buckets whose measured winner is the galloping kernel.
-    pub autotune_wins_gallop: u64,
-    /// Buckets whose measured winner is the best block/pivot kernel.
-    pub autotune_wins_block: u64,
-    /// Buckets whose measured winner is the FESIA hash kernel.
-    pub autotune_wins_fesia: u64,
-    /// Buckets whose measured winner is the shuffling kernel.
-    pub autotune_wins_shuffle: u64,
-    /// [`crate::Kernel::Autotuned`] dispatches that hit a bucket with a
-    /// measured winner.
-    pub autotune_planned: u64,
-    /// [`crate::Kernel::Autotuned`] dispatches that fell back to the
-    /// adaptive rule (bucket had too few samples to measure).
-    pub autotune_fallback: u64,
 }
 
 impl CounterSnapshot {
@@ -152,15 +122,6 @@ impl CounterSnapshot {
             elements_scanned: a[IDX_SCANNED],
             adaptive_gallop: a[IDX_ADAPTIVE_GALLOP],
             adaptive_block: a[IDX_ADAPTIVE_BLOCK],
-            autotune_samples: a[IDX_AUTOTUNE_SAMPLES],
-            autotune_buckets: a[IDX_AUTOTUNE_BUCKETS],
-            autotune_wins_merge: a[IDX_AUTOTUNE_WINS_MERGE],
-            autotune_wins_gallop: a[IDX_AUTOTUNE_WINS_GALLOP],
-            autotune_wins_block: a[IDX_AUTOTUNE_WINS_BLOCK],
-            autotune_wins_fesia: a[IDX_AUTOTUNE_WINS_FESIA],
-            autotune_wins_shuffle: a[IDX_AUTOTUNE_WINS_SHUFFLE],
-            autotune_planned: a[IDX_AUTOTUNE_PLANNED],
-            autotune_fallback: a[IDX_AUTOTUNE_FALLBACK],
         }
     }
 
@@ -170,15 +131,6 @@ impl CounterSnapshot {
         a[IDX_SCANNED] = self.elements_scanned;
         a[IDX_ADAPTIVE_GALLOP] = self.adaptive_gallop;
         a[IDX_ADAPTIVE_BLOCK] = self.adaptive_block;
-        a[IDX_AUTOTUNE_SAMPLES] = self.autotune_samples;
-        a[IDX_AUTOTUNE_BUCKETS] = self.autotune_buckets;
-        a[IDX_AUTOTUNE_WINS_MERGE] = self.autotune_wins_merge;
-        a[IDX_AUTOTUNE_WINS_GALLOP] = self.autotune_wins_gallop;
-        a[IDX_AUTOTUNE_WINS_BLOCK] = self.autotune_wins_block;
-        a[IDX_AUTOTUNE_WINS_FESIA] = self.autotune_wins_fesia;
-        a[IDX_AUTOTUNE_WINS_SHUFFLE] = self.autotune_wins_shuffle;
-        a[IDX_AUTOTUNE_PLANNED] = self.autotune_planned;
-        a[IDX_AUTOTUNE_FALLBACK] = self.autotune_fallback;
         a
     }
 
@@ -398,40 +350,6 @@ pub fn record_adaptive_choice(gallop: bool) {
     );
 }
 
-/// Records one [`crate::Kernel::Autotuned`] dispatch decision: `planned`
-/// says whether the call's size/skew bucket had a measured winner
-/// (versus falling back to the adaptive rule). The mix is the report's
-/// evidence of how much of the workload the measured plan covers.
-#[inline]
-pub fn record_autotune_dispatch(planned: bool) {
-    bump(
-        if planned {
-            IDX_AUTOTUNE_PLANNED
-        } else {
-            IDX_AUTOTUNE_FALLBACK
-        },
-        1,
-    );
-}
-
-/// Records an autotune plan's build-time summary — sample count, planned
-/// bucket count, and the per-kernel-family bucket win mix — into the
-/// scopes active on the calling thread. Drivers call this once per run
-/// *inside* their counter scope (plan measurement itself runs outside
-/// any scope so the timing calls don't pollute `compsim_invocations`).
-pub fn record_autotune_plan(stats: &crate::autotune::PlanStats) {
-    LOCAL.with(|l| {
-        let add = |idx: usize, n: u64| l[idx].set(l[idx].get() + n);
-        add(IDX_AUTOTUNE_SAMPLES, stats.samples);
-        add(IDX_AUTOTUNE_BUCKETS, stats.buckets);
-        add(IDX_AUTOTUNE_WINS_MERGE, stats.wins_merge);
-        add(IDX_AUTOTUNE_WINS_GALLOP, stats.wins_gallop);
-        add(IDX_AUTOTUNE_WINS_BLOCK, stats.wins_block);
-        add(IDX_AUTOTUNE_WINS_FESIA, stats.wins_fesia);
-        add(IDX_AUTOTUNE_WINS_SHUFFLE, stats.wins_shuffle);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,35 +377,6 @@ mod tests {
         });
         assert_eq!(d.adaptive_gallop, 1);
         assert_eq!(d.adaptive_block, 2);
-        assert_eq!(d.compsim_invocations, 0);
-    }
-
-    #[test]
-    fn autotune_counters_are_scoped() {
-        let scope = CounterScope::new();
-        let stats = crate::autotune::PlanStats {
-            samples: 40,
-            buckets: 5,
-            wins_merge: 1,
-            wins_gallop: 0,
-            wins_block: 2,
-            wins_fesia: 1,
-            wins_shuffle: 1,
-        };
-        let (d, ()) = scope.measure(|| {
-            record_autotune_plan(&stats);
-            record_autotune_dispatch(true);
-            record_autotune_dispatch(true);
-            record_autotune_dispatch(false);
-        });
-        assert_eq!(d.autotune_samples, 40);
-        assert_eq!(d.autotune_buckets, 5);
-        assert_eq!(d.autotune_wins_merge, 1);
-        assert_eq!(d.autotune_wins_block, 2);
-        assert_eq!(d.autotune_wins_fesia, 1);
-        assert_eq!(d.autotune_wins_shuffle, 1);
-        assert_eq!(d.autotune_planned, 2);
-        assert_eq!(d.autotune_fallback, 1);
         assert_eq!(d.compsim_invocations, 0);
     }
 

@@ -6,9 +6,8 @@
 //! checking) and the AVX2-vs-AVX-512 platform contrast (Figures 2/3/5)
 //! by switching this one enum.
 
-use crate::autotune::KernelPrecomp;
 use crate::similarity::Similarity;
-use crate::{fesia, galloping, merge, pivot, shuffling, simd, simd_block};
+use crate::{galloping, merge, pivot, simd, simd_block};
 
 /// A `CompSim` set-intersection strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -36,22 +35,6 @@ pub enum Kernel {
     /// decisions is recorded via [`counters::record_adaptive_choice`]
     /// so `fig4_invocations` and the ablations can report it.
     Adaptive,
-    /// FESIA-style hash-bitmap intersection (extension; see
-    /// [`crate::fesia`]): per-vertex hashed layouts from a
-    /// [`KernelPrecomp`] when one is threaded through
-    /// ([`Kernel::check_pre`]), a transient-bitmap flat path otherwise.
-    Fesia,
-    /// Shuffling all-pairs block compare without bound maintenance
-    /// (extension; see [`crate::shuffling`]) — the lean kernel for
-    /// balanced short lists.
-    Shuffling,
-    /// Measured per-bucket dispatch (extension; see [`crate::autotune`]):
-    /// routes each call to the kernel that *won the measurement* for its
-    /// (size, skew) bucket, falling back to the [`Kernel::Adaptive`] rule
-    /// for unplanned buckets or when no [`KernelPrecomp`] carries a plan.
-    /// The per-call planned/fallback mix is recorded via
-    /// [`counters::record_autotune_dispatch`].
-    Autotuned,
 }
 
 /// Length ratio at which [`Kernel::Adaptive`] switches from the block
@@ -63,7 +46,7 @@ pub const ADAPTIVE_GALLOP_RATIO: usize = 32;
 
 impl Kernel {
     /// All kernels, for exhaustive differential testing.
-    pub const ALL: [Kernel; 11] = [
+    pub const ALL: [Kernel; 8] = [
         Kernel::MergeEarly,
         Kernel::PivotScalar,
         Kernel::PivotAvx2,
@@ -72,9 +55,6 @@ impl Kernel {
         Kernel::BlockAvx2,
         Kernel::BlockAvx512,
         Kernel::Adaptive,
-        Kernel::Fesia,
-        Kernel::Shuffling,
-        Kernel::Autotuned,
     ];
 
     /// The fastest vectorized kernel this CPU supports, falling back to
@@ -111,9 +91,6 @@ impl Kernel {
             Kernel::BlockAvx2 => "block-avx2",
             Kernel::BlockAvx512 => "block-avx512",
             Kernel::Adaptive => "adaptive",
-            Kernel::Fesia => "fesia",
-            Kernel::Shuffling => "shuffling",
-            Kernel::Autotuned => "autotuned",
         }
     }
 
@@ -128,30 +105,15 @@ impl Kernel {
             "block-avx2" => Some(Kernel::BlockAvx2),
             "block-avx512" => Some(Kernel::BlockAvx512),
             "adaptive" => Some(Kernel::Adaptive),
-            "fesia" | "hash" => Some(Kernel::Fesia),
-            "shuffling" | "shuffle" => Some(Kernel::Shuffling),
-            "autotuned" => Some(Kernel::Autotuned),
             _ => None,
         }
     }
 
     /// Evaluates `CompSim(u, v)` over the sorted neighbor arrays
     /// `a = N(u)`, `b = N(v)` against the threshold `min_cn`
-    /// (see the crate docs for the exact contract). Equivalent to
-    /// [`Kernel::check_pre`] with no precomputation: [`Kernel::Fesia`]
-    /// takes its flat path and [`Kernel::Autotuned`] falls back to the
-    /// adaptive rule.
+    /// (see the crate docs for the exact contract).
     #[inline]
     pub fn check(self, a: &[u32], b: &[u32], min_cn: u64) -> Similarity {
-        self.check_pre(PrecompCtx::NONE, a, b, min_cn)
-    }
-
-    /// [`Kernel::check`] with a per-graph precomputation context. Every
-    /// kernel answers identically with or without `ctx`; the context
-    /// only changes *how*: [`Kernel::Fesia`] uses its precomputed
-    /// hashed layout and [`Kernel::Autotuned`] its measured plan.
-    #[inline]
-    pub fn check_pre(self, ctx: PrecompCtx<'_>, a: &[u32], b: &[u32], min_cn: u64) -> Similarity {
         debug_assert!(
             a.last().is_none_or(|&x| x <= i32::MAX as u32)
                 && b.last().is_none_or(|&x| x <= i32::MAX as u32),
@@ -183,81 +145,7 @@ impl Kernel {
                     pivot::check_early(a, b, min_cn)
                 }
             }
-            Kernel::Fesia => match ctx.fesia() {
-                Some((pre, u, v)) => fesia::check_pre(pre, u, v, a, b, min_cn),
-                None => fesia::check_flat(a, b, min_cn),
-            },
-            Kernel::Shuffling => shuffling::check_early(a, b, min_cn),
-            Kernel::Autotuned => {
-                // Trivial calls — decided by the Definition 3.9 pre-checks
-                // every kernel performs before touching the lists — exit
-                // here, before the bucket lookup. At large ε most calls
-                // are trivial (min_cn exceeds the shorter list) and cost
-                // single-digit nanoseconds; paying the dispatch machinery
-                // on them is pure overhead, and no kernel choice could
-                // matter anyway. Mirrors the delegates' counter behavior:
-                // invocation recorded, nothing scanned.
-                if min_cn <= 2 {
-                    crate::counters::record_invocation();
-                    return Similarity::Sim;
-                }
-                if (a.len() as u64 + 2) < min_cn || (b.len() as u64 + 2) < min_cn {
-                    crate::counters::record_invocation();
-                    return Similarity::NSim;
-                }
-                let winner = ctx.plan().and_then(|plan| plan.winner(a.len(), b.len()));
-                match winner {
-                    Some(w) => {
-                        // `measure` only plans available kernels, so no
-                        // per-call availability check on the hot path.
-                        debug_assert!(w.available(), "plan holds unavailable kernel");
-                        crate::counters::record_autotune_dispatch(true);
-                        // Plans never contain Adaptive/Autotuned, so this
-                        // recursion is exactly one level deep.
-                        w.check_pre(ctx, a, b, min_cn)
-                    }
-                    None => {
-                        crate::counters::record_autotune_dispatch(false);
-                        Kernel::Adaptive.check_pre(ctx, a, b, min_cn)
-                    }
-                }
-            }
         }
-    }
-}
-
-/// Borrowed precomputation context for [`Kernel::check_pre`]: the
-/// graph's [`KernelPrecomp`] plus the vertex ids of the pair being
-/// checked (the FESIA path is keyed by vertex, not by slice).
-/// `Copy`-cheap — two machine words — so it rides the hot call path
-/// for free; [`PrecompCtx::NONE`] (= `Default`) means "no
-/// precomputation", which every kernel handles.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrecompCtx<'p> {
-    ctx: Option<(&'p KernelPrecomp, u32, u32)>,
-}
-
-impl<'p> PrecompCtx<'p> {
-    /// The empty context: kernels use their precomputation-free paths.
-    pub const NONE: PrecompCtx<'static> = PrecompCtx { ctx: None };
-
-    /// Context for checking the pair `(u, v)` under `pre`.
-    #[inline]
-    pub fn new(pre: &'p KernelPrecomp, u: u32, v: u32) -> PrecompCtx<'p> {
-        PrecompCtx {
-            ctx: Some((pre, u, v)),
-        }
-    }
-
-    #[inline]
-    fn fesia(self) -> Option<(&'p crate::fesia::FesiaPrecomp, u32, u32)> {
-        let (pre, u, v) = self.ctx?;
-        Some((pre.fesia()?, u, v))
-    }
-
-    #[inline]
-    fn plan(self) -> Option<&'p crate::autotune::AutotunePlan> {
-        self.ctx?.0.plan()
     }
 }
 
@@ -291,9 +179,10 @@ mod tests {
             assert_eq!(format!("{k}"), k.name());
         }
         assert_eq!(Kernel::parse("avx512"), Some(Kernel::PivotAvx512));
-        assert_eq!(Kernel::parse("hash"), Some(Kernel::Fesia));
-        assert_eq!(Kernel::parse("shuffle"), Some(Kernel::Shuffling));
         assert_eq!(Kernel::parse("bogus"), None);
+        for retired in ["fesia", "hash", "shuffling", "shuffle", "autotuned"] {
+            assert_eq!(Kernel::parse(retired), None, "{retired}");
+        }
     }
 
     #[test]
@@ -312,9 +201,6 @@ mod tests {
                 "block-avx2",
                 "block-avx512",
                 "adaptive",
-                "fesia",
-                "shuffling",
-                "autotuned",
             ]
         );
     }
@@ -354,66 +240,6 @@ mod tests {
                 Kernel::Adaptive.check(x, y, 3),
                 merge::check_reference(x, y, 3)
             );
-        }
-    }
-
-    #[test]
-    fn autotuned_without_plan_falls_back_to_adaptive() {
-        use crate::counters::CounterScope;
-        let a: Vec<u32> = (0..64).map(|x| x * 2).collect();
-        let b: Vec<u32> = (0..48).map(|x| x * 3).collect();
-        let scope = CounterScope::new();
-        let (d, out) = scope.measure(|| Kernel::Autotuned.check(&a, &b, 5));
-        assert_eq!(out, merge::check_reference(&a, &b, 5));
-        assert_eq!(d.autotune_fallback, 1);
-        assert_eq!(d.autotune_planned, 0);
-        assert_eq!(d.adaptive_block, 1, "fallback takes the adaptive rule");
-        assert_eq!(d.compsim_invocations, 1, "delegate records exactly once");
-    }
-
-    #[test]
-    fn autotuned_with_plan_dispatches_winners() {
-        use crate::autotune::{AutotuneConfig, AutotunePlan, SamplePair};
-        use crate::counters::CounterScope;
-        let a: Vec<u32> = (0..64).map(|x| x * 2).collect();
-        let b: Vec<u32> = (0..48).map(|x| x * 3).collect();
-        let samples: Vec<SamplePair<'_>> = (0..8)
-            .map(|_| SamplePair {
-                u: 0,
-                v: 1,
-                a: &a,
-                b: &b,
-                min_cn: 5,
-            })
-            .collect();
-        let plan = AutotunePlan::measure(&samples, None, &AutotuneConfig::default());
-        assert!(!plan.is_empty());
-        let pre = KernelPrecomp::new(None, Some(plan));
-        let ctx = PrecompCtx::new(&pre, 0, 1);
-        let scope = CounterScope::new();
-        let (d, out) = scope.measure(|| Kernel::Autotuned.check_pre(ctx, &a, &b, 5));
-        assert_eq!(out, merge::check_reference(&a, &b, 5));
-        assert_eq!(d.autotune_planned, 1);
-        assert_eq!(d.autotune_fallback, 0);
-        assert_eq!(d.compsim_invocations, 1, "winner records exactly once");
-    }
-
-    #[test]
-    fn fesia_check_uses_precomp_when_given() {
-        let adj: Vec<Vec<u32>> = vec![
-            (0..40).map(|x| x * 3).collect(),
-            (0..50).map(|x| x * 2).collect(),
-        ];
-        let fesia_pre = crate::fesia::FesiaPrecomp::build(adj.len(), 45.0, |u| &adj[u as usize]);
-        let pre = KernelPrecomp::new(Some(fesia_pre), None);
-        let (a, b) = (&adj[0], &adj[1]);
-        for min_cn in [0u64, 2, 5, 9, 30, 100] {
-            let expected = merge::check_reference(a, b, min_cn);
-            assert_eq!(
-                Kernel::Fesia.check_pre(PrecompCtx::new(&pre, 0, 1), a, b, min_cn),
-                expected
-            );
-            assert_eq!(Kernel::Fesia.check(a, b, min_cn), expected, "flat path");
         }
     }
 }

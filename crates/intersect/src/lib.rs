@@ -33,21 +33,17 @@
 //! assert_eq!(sim, Similarity::Sim); // cn = 2 + 2 = 4 ≥ 2
 //! ```
 
-pub mod autotune;
 pub mod count;
 pub mod counters;
-pub mod fesia;
 pub mod galloping;
 pub mod kernel;
 pub mod merge;
 pub mod pivot;
-pub mod shuffling;
 pub mod simd;
 pub mod simd_block;
 pub mod similarity;
 
-pub use autotune::{AutotuneConfig, AutotunePlan, KernelPrecomp, PlanStats, SamplePair};
-pub use kernel::{Kernel, PrecompCtx};
+pub use kernel::Kernel;
 pub use similarity::{EpsilonThreshold, Similarity};
 
 #[cfg(test)]

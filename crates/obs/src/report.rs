@@ -58,27 +58,6 @@ pub struct KernelCounters {
     /// Adaptive-kernel invocations routed to the block kernel (0 unless
     /// the adaptive kernel ran).
     pub adaptive_block: u64,
-    /// Pairs sampled while building the autotune plan (0 unless the
-    /// autotuned kernel ran). Like the adaptive mix, every autotune
-    /// counter serializes only when nonzero and parses with a default
-    /// of 0, so older baselines stay round-trip exact.
-    pub autotune_samples: u64,
-    /// Size/skew buckets the autotune plan measured a winner for.
-    pub autotune_buckets: u64,
-    /// Autotune buckets won by the merge kernel.
-    pub autotune_wins_merge: u64,
-    /// Autotune buckets won by the galloping kernel.
-    pub autotune_wins_gallop: u64,
-    /// Autotune buckets won by the best block/pivot kernel.
-    pub autotune_wins_block: u64,
-    /// Autotune buckets won by the FESIA hash kernel.
-    pub autotune_wins_fesia: u64,
-    /// Autotune buckets won by the shuffling kernel.
-    pub autotune_wins_shuffle: u64,
-    /// Autotuned dispatches routed by a measured bucket winner.
-    pub autotune_planned: u64,
-    /// Autotuned dispatches that fell back to the adaptive rule.
-    pub autotune_fallback: u64,
 }
 
 /// Per-worker totals within one phase.
@@ -291,21 +270,6 @@ impl RunReport {
                 Json::from_u64(self.counters.adaptive_block),
             ));
         }
-        for (name, value) in [
-            ("autotune_samples", self.counters.autotune_samples),
-            ("autotune_buckets", self.counters.autotune_buckets),
-            ("autotune_wins_merge", self.counters.autotune_wins_merge),
-            ("autotune_wins_gallop", self.counters.autotune_wins_gallop),
-            ("autotune_wins_block", self.counters.autotune_wins_block),
-            ("autotune_wins_fesia", self.counters.autotune_wins_fesia),
-            ("autotune_wins_shuffle", self.counters.autotune_wins_shuffle),
-            ("autotune_planned", self.counters.autotune_planned),
-            ("autotune_fallback", self.counters.autotune_fallback),
-        ] {
-            if value != 0 {
-                counters.push((name.into(), Json::from_u64(value)));
-            }
-        }
         fields.push(("counters".into(), Json::Obj(counters)));
         if !self.timeline.is_empty() {
             fields.push((
@@ -360,15 +324,6 @@ impl RunReport {
             elements_scanned: req_u64(counters, "elements_scanned")?,
             adaptive_gallop: opt_u64(counters, "adaptive_gallop").unwrap_or(0),
             adaptive_block: opt_u64(counters, "adaptive_block").unwrap_or(0),
-            autotune_samples: opt_u64(counters, "autotune_samples").unwrap_or(0),
-            autotune_buckets: opt_u64(counters, "autotune_buckets").unwrap_or(0),
-            autotune_wins_merge: opt_u64(counters, "autotune_wins_merge").unwrap_or(0),
-            autotune_wins_gallop: opt_u64(counters, "autotune_wins_gallop").unwrap_or(0),
-            autotune_wins_block: opt_u64(counters, "autotune_wins_block").unwrap_or(0),
-            autotune_wins_fesia: opt_u64(counters, "autotune_wins_fesia").unwrap_or(0),
-            autotune_wins_shuffle: opt_u64(counters, "autotune_wins_shuffle").unwrap_or(0),
-            autotune_planned: opt_u64(counters, "autotune_planned").unwrap_or(0),
-            autotune_fallback: opt_u64(counters, "autotune_fallback").unwrap_or(0),
         };
         if let Some(timeline) = v.get("timeline") {
             report.timeline = registry::timeline_from_json(timeline)?;
@@ -700,15 +655,6 @@ mod tests {
             elements_scanned: rng.next() >> 1,
             adaptive_gallop: rng.below(3) * rng.below(1 << 20),
             adaptive_block: rng.below(3) * rng.below(1 << 20),
-            autotune_samples: rng.below(3) * rng.below(1 << 12),
-            autotune_buckets: rng.below(3) * rng.below(72),
-            autotune_wins_merge: rng.below(3) * rng.below(16),
-            autotune_wins_gallop: rng.below(3) * rng.below(16),
-            autotune_wins_block: rng.below(3) * rng.below(16),
-            autotune_wins_fesia: rng.below(3) * rng.below(16),
-            autotune_wins_shuffle: rng.below(3) * rng.below(16),
-            autotune_planned: rng.below(3) * rng.below(1 << 20),
-            autotune_fallback: rng.below(3) * rng.below(1 << 20),
         };
         if rng.chance(30) {
             // Schema-2 live-metrics timeline.

@@ -21,27 +21,17 @@
 //!   ([`WorkerPool::run_vertices`]), or over disjoint mutable items
 //!   ([`WorkerPool::run_mut`]), under a chosen [`ExecutionStrategy`].
 //!
-//! ## Scheduler backends
+//! ## The work-stealing pool
 //!
-//! A pool dispatches through one of two [`SchedulerKind`] backends:
-//!
-//! * [`SchedulerKind::WorkStealing`] (the default) — worker threads are
-//!   spawned **once**, when the pool is built, and parked on a condvar
-//!   between dispatches. Each dispatch partitions the task positions
-//!   into per-worker bounded deques; a worker drains its own deque from
-//!   the bottom and, when empty, steals from the top of a randomly
-//!   chosen victim's deque (Chase–Lev protocol, std-only). This removes
-//!   the per-phase thread spawn/join cost — ppSCAN runs six
-//!   barrier-separated phases per clustering, so the old
-//!   spawn-per-dispatch pool paid that cost repeatedly on every run.
-//! * [`SchedulerKind::SharedQueue`] — the legacy backend: scoped workers
-//!   spawned per dispatch, all claiming positions from one shared atomic
-//!   cursor. Kept for the `sched_overhead` before/after ablation.
-//!
-//! Both backends execute the same task set and claim positions in a
-//! compatible order (contiguous for `Parallel`, seed-permuted for
-//! `AdversarialSeeded`), so results — which Theorems 4.1/4.2 require to
-//! be schedule-independent — are directly comparable across backends.
+//! Worker threads are spawned **once**, when the pool is built, and
+//! parked on a condvar between dispatches. Each dispatch partitions the
+//! task positions into per-worker bounded deques; a worker drains its
+//! own deque from the bottom and, when empty, steals from the top of a
+//! randomly chosen victim's deque (Chase–Lev protocol, std-only). ppSCAN
+//! runs six barrier-separated phases per clustering, so no thread is
+//! spawned or joined per phase (measured against a spawn-per-dispatch
+//! shared-queue pool in
+//! `crates/bench/baselines/sched_overhead_{before,after}.json`).
 //!
 //! ## Execution strategies
 //!
@@ -106,7 +96,7 @@
 use ppscan_obs::registry::{Counter, MetricsRegistry};
 use std::any::Any;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -145,48 +135,6 @@ pub enum ExecutionStrategy {
     /// installs an oracle with [`modeled::with_oracle`] and drives the
     /// pool through every task order it cares about, deterministically.
     Modeled,
-}
-
-/// Which dispatch backend a [`WorkerPool`] uses for its parallel
-/// strategies. Strategies that run on the caller thread
-/// (`SequentialDeterministic`, `Modeled`) never touch the backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// Persistent parked workers draining per-worker deques with
-    /// randomized-victim stealing. Workers are spawned once per pool and
-    /// woken per dispatch.
-    #[default]
-    WorkStealing,
-    /// The pre-stealing backend: workers spawned per dispatch, claiming
-    /// positions from one shared atomic cursor. Kept so the
-    /// `sched_overhead` harness can measure what the persistent pool
-    /// buys end to end.
-    SharedQueue,
-}
-
-impl SchedulerKind {
-    /// Harness display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::WorkStealing => "work-stealing",
-            SchedulerKind::SharedQueue => "shared-queue",
-        }
-    }
-
-    /// Parses a scheduler name as printed by [`SchedulerKind::name`].
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "work-stealing" | "stealing" => Some(SchedulerKind::WorkStealing),
-            "shared-queue" | "shared" => Some(SchedulerKind::SharedQueue),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// The task-order oracle backing [`ExecutionStrategy::Modeled`].
@@ -378,11 +326,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Complements the span layer, which aggregates *per run* and only while
 /// a collector is active: these counters are always on and cheap enough
 /// to sample live (a long-lived serve process polls them into its
-/// timeline). `dispatches`/`tasks` count on every strategy and backend;
-/// `steals`, `parks`, `wakes`, and `worker_busy` are fed by the
-/// persistent work-stealing backend (the only backend with parked
-/// workers and steal traffic worth watching), so they stay 0 on
-/// caller-thread and shared-queue runs.
+/// timeline). `dispatches`/`tasks` count on every strategy; `steals`,
+/// `parks`, `wakes`, and `worker_busy` are fed by the persistent
+/// workers, so they stay 0 on caller-thread runs.
 #[derive(Clone, Debug)]
 pub struct PoolMetrics {
     /// Dispatches submitted to the pool, any strategy.
@@ -422,9 +368,8 @@ impl PoolMetrics {
 /// Runs queue position `queue_pos` of a dispatch: maps the position
 /// through the adversarial claim-order permutation if one is installed,
 /// brackets the task with seeded yields under adversarial replay, and
-/// records the task as a span under `stage`. Shared by the inline,
-/// shared-queue, and work-stealing paths so every backend executes
-/// byte-identical task bodies.
+/// records the task as a span under `stage`. Shared by the inline and
+/// work-stealing paths so both execute byte-identical task bodies.
 fn run_position<F>(
     run_task: &F,
     stage: &'static str,
@@ -724,8 +669,7 @@ struct PoolShared {
     metrics: Mutex<Option<Arc<PoolMetrics>>>,
 }
 
-/// The persistent worker threads of a [`SchedulerKind::WorkStealing`]
-/// pool. Spawned once at pool construction, parked on `work_cv` between
+/// The persistent worker threads of a [`WorkerPool`]. Spawned once at pool construction, parked on `work_cv` between
 /// dispatches, joined on drop.
 struct PersistentWorkers {
     shared: Arc<PoolShared>,
@@ -861,25 +805,20 @@ fn worker_loop(shared: &PoolShared, w: usize) {
     }
 }
 
-/// A task-execution engine with an explicit thread count,
-/// [`ExecutionStrategy`], and [`SchedulerKind`]. One pool is built per
-/// algorithm run so the thread count is an explicit experiment parameter
-/// (Figure 6 sweeps it from 1 to 256).
+/// A task-execution engine with an explicit thread count and
+/// [`ExecutionStrategy`]. One pool is built per algorithm run so the
+/// thread count is an explicit experiment parameter (Figure 6 sweeps it
+/// from 1 to 256).
 ///
-/// Under the default [`SchedulerKind::WorkStealing`] backend the worker
-/// threads are spawned once, at construction, and parked between
-/// dispatches; a task panic still propagates to the submitting thread
-/// exactly like a sequential panic would. Under
-/// [`SchedulerKind::SharedQueue`] workers are spawned per submission
-/// (scoped), reproducing the pre-stealing scheduler for ablations.
+/// The worker threads are spawned once, at construction, and parked
+/// between dispatches; a task panic still propagates to the submitting
+/// thread exactly like a sequential panic would.
 pub struct WorkerPool {
     threads: usize,
     strategy: ExecutionStrategy,
-    scheduler: SchedulerKind,
-    /// `Some` iff the backend is `WorkStealing` *and* the strategy can
-    /// dispatch in parallel (`Parallel` / `AdversarialSeeded`) *and*
-    /// `threads > 1` — caller-thread strategies never pay for idle
-    /// workers.
+    /// `Some` iff the strategy can dispatch in parallel (`Parallel` /
+    /// `AdversarialSeeded`) *and* `threads > 1` — caller-thread
+    /// strategies never pay for idle workers.
     persistent: Option<PersistentWorkers>,
     /// Live pool counters, when attached ([`Self::attach_metrics`]).
     metrics: Mutex<Option<Arc<PoolMetrics>>>,
@@ -895,44 +834,28 @@ impl WorkerPool {
         Self::with_strategy(threads, ExecutionStrategy::Parallel)
     }
 
-    /// Builds a pool with an explicit execution strategy on the default
-    /// work-stealing backend.
+    /// Builds a pool with an explicit execution strategy.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn with_strategy(threads: usize, strategy: ExecutionStrategy) -> Self {
-        Self::with_scheduler(threads, strategy, SchedulerKind::default())
-    }
-
-    /// Builds a pool with an explicit execution strategy and dispatch
-    /// backend.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn with_scheduler(
-        threads: usize,
-        strategy: ExecutionStrategy,
-        scheduler: SchedulerKind,
-    ) -> Self {
         assert!(threads > 0, "need at least one thread");
         let wants_workers = matches!(
             strategy,
             ExecutionStrategy::Parallel | ExecutionStrategy::AdversarialSeeded { .. }
         );
-        let persistent = (scheduler == SchedulerKind::WorkStealing && threads > 1 && wants_workers)
-            .then(|| PersistentWorkers::spawn(threads));
+        let persistent = (threads > 1 && wants_workers).then(|| PersistentWorkers::spawn(threads));
         Self {
             threads,
             strategy,
-            scheduler,
             persistent,
             metrics: Mutex::new(None),
         }
     }
 
     /// Attaches live counters to the pool: from here on, every dispatch
-    /// feeds `metrics` (see [`PoolMetrics`] for which counters move on
-    /// which backend). Attach before the first dispatch for complete
+    /// feeds `metrics` (see [`PoolMetrics`] for which counters move
+    /// under which strategy). Attach before the first dispatch for complete
     /// park/wake coverage; the counter family should be registered with
     /// `workers >= self.threads()` so per-worker busy slots exist.
     pub fn attach_metrics(&self, metrics: Arc<PoolMetrics>) {
@@ -961,11 +884,6 @@ impl WorkerPool {
     /// The pool's execution strategy.
     pub fn strategy(&self) -> ExecutionStrategy {
         self.strategy
-    }
-
-    /// The pool's dispatch backend.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
     }
 
     /// Runs `body` once per task range under the pool's strategy — the
@@ -1101,9 +1019,8 @@ impl WorkerPool {
     }
 
     /// Parallel dispatch: routes to the inline loop (one effective
-    /// worker), the persistent work-stealing pool, or the legacy
-    /// shared-queue backend. `adversarial` supplies the permuted claim
-    /// order and the yield-injection seed.
+    /// worker) or the persistent work-stealing pool. `adversarial`
+    /// supplies the permuted claim order and the yield-injection seed.
     fn dispatch<F>(
         &self,
         num_tasks: usize,
@@ -1132,81 +1049,33 @@ impl WorkerPool {
             fork.join();
             return;
         }
-        match &self.persistent {
-            Some(workers) => {
-                let fork = ppscan_obs::race::fork_point();
-                let ctx = DispatchCtx {
-                    run_task,
-                    stage,
-                    order,
-                    seed,
-                    deques: deques_for(num_tasks, self.threads),
-                    ambient: ppscan_obs::propagate::capture(),
-                    fork: fork.clone(),
-                    metrics: self.metrics(),
-                    panic: Mutex::new(None),
-                    abort: AtomicBool::new(false),
-                };
-                workers.dispatch(self.threads, &ctx);
-                fork.join();
-            }
-            None => self.dispatch_shared_queue(num_tasks, stage, run_task, order.as_deref(), seed),
-        }
-    }
-
-    /// The legacy backend: workers spawned per dispatch claim the next
-    /// position from a single shared atomic cursor.
-    fn dispatch_shared_queue<F>(
-        &self,
-        num_tasks: usize,
-        stage: &'static str,
-        run_task: &F,
-        order: Option<&[usize]>,
-        seed: u64,
-    ) where
-        F: Fn(usize) + Sync,
-    {
-        let workers = self.threads.min(num_tasks);
-        // Capture the submitting thread's ambient context (span
-        // collectors, counter scopes, ...) once; each worker attaches it
-        // for the duration of its claim loop.
-        let ctx = ppscan_obs::propagate::capture();
+        // Parallel strategies with more than one thread always own
+        // persistent workers (see `with_strategy`).
+        let workers = self
+            .persistent
+            .as_ref()
+            .expect("parallel pool with threads > 1 has workers");
         let fork = ppscan_obs::race::fork_point();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let next = &next;
-                let ctx = &ctx;
-                let fork = &fork;
-                std::thread::Builder::new()
-                    .name(format!("ppscan-worker-{w}"))
-                    .spawn_scoped(s, move || {
-                        let _worker = ppscan_obs::span::enter_worker(w);
-                        let _ctx = ctx.attach();
-                        loop {
-                            let queue_pos = next.fetch_add(1, Ordering::Relaxed);
-                            if queue_pos >= num_tasks {
-                                break;
-                            }
-                            ppscan_obs::race::task_scope(fork, || {
-                                run_position(run_task, stage, order, seed, queue_pos);
-                            });
-                        }
-                    })
-                    .expect("failed to spawn worker thread");
-            }
-        });
+        let ctx = DispatchCtx {
+            run_task,
+            stage,
+            order,
+            seed,
+            deques: deques_for(num_tasks, self.threads),
+            ambient: ppscan_obs::propagate::capture(),
+            fork: fork.clone(),
+            metrics: self.metrics(),
+            panic: Mutex::new(None),
+            abort: AtomicBool::new(false),
+        };
+        workers.dispatch(self.threads, &ctx);
         fork.join();
     }
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "WorkerPool({} threads, {}, {})",
-            self.threads, self.strategy, self.scheduler
-        )
+        write!(f, "WorkerPool({} threads, {})", self.threads, self.strategy)
     }
 }
 
@@ -1225,29 +1094,27 @@ mod tests {
     ];
 
     #[test]
-    fn detector_flags_unordered_dispatch_tasks_on_every_backend() {
+    fn detector_flags_unordered_dispatch_tasks_under_every_strategy() {
         use ppscan_obs::race::{DetectionSession, ShadowCell};
         // Two tasks of one dispatch write the same plain payload with no
         // protocol: the scheduler contract makes them concurrent, so the
         // detector must flag the pair under every parallel-semantics
-        // strategy and both dispatch backends — including the physically
-        // sequential Modeled execution.
-        for scheduler in [SchedulerKind::WorkStealing, SchedulerKind::SharedQueue] {
-            for strategy in [
-                ExecutionStrategy::Parallel,
-                ExecutionStrategy::Modeled,
-                ExecutionStrategy::AdversarialSeeded { seed: 7 },
-            ] {
-                let session = DetectionSession::begin();
-                let pool = WorkerPool::with_scheduler(2, strategy, scheduler);
-                let cell = ShadowCell::new("dispatch-shared", 0u32);
-                pool.run_vertices(4, |v| cell.set(v, "task-write"));
-                let races = session.finish();
-                assert!(
-                    races.iter().any(|r| r.kind == "write-write"),
-                    "{strategy} on {scheduler}: expected a race, got {races:?}"
-                );
-            }
+        // strategy — including the physically sequential Modeled
+        // execution.
+        for strategy in [
+            ExecutionStrategy::Parallel,
+            ExecutionStrategy::Modeled,
+            ExecutionStrategy::AdversarialSeeded { seed: 7 },
+        ] {
+            let session = DetectionSession::begin();
+            let pool = WorkerPool::with_strategy(2, strategy);
+            let cell = ShadowCell::new("dispatch-shared", 0u32);
+            pool.run_vertices(4, |v| cell.set(v, "task-write"));
+            let races = session.finish();
+            assert!(
+                races.iter().any(|r| r.kind == "write-write"),
+                "{strategy}: expected a race, got {races:?}"
+            );
         }
     }
 
@@ -1256,24 +1123,18 @@ mod tests {
         use ppscan_obs::race::{DetectionSession, ShadowCell};
         // Task writes in dispatch 1 happen-before task reads in dispatch
         // 2 (join edge → submitter → fork edge), and disjoint per-task
-        // writes never race: the clean sweep over every strategy and
-        // backend must be silent.
-        for scheduler in [SchedulerKind::WorkStealing, SchedulerKind::SharedQueue] {
-            for strategy in ALL_STRATEGIES {
-                let session = DetectionSession::begin();
-                let pool = WorkerPool::with_scheduler(3, strategy, scheduler);
-                let cells: Vec<ShadowCell<u32>> =
-                    (0..8).map(|_| ShadowCell::new("slot", 0)).collect();
-                pool.run_vertices(8, |v| cells[v as usize].set(v + 1, "phase-1"));
-                pool.run_vertices(8, |v| {
-                    assert_eq!(cells[v as usize].get("phase-2"), v + 1);
-                });
-                let races = session.finish();
-                assert!(
-                    races.is_empty(),
-                    "{strategy} on {scheduler}: false positive {races:?}"
-                );
-            }
+        // writes never race: the clean sweep over every strategy must be
+        // silent.
+        for strategy in ALL_STRATEGIES {
+            let session = DetectionSession::begin();
+            let pool = WorkerPool::with_strategy(3, strategy);
+            let cells: Vec<ShadowCell<u32>> = (0..8).map(|_| ShadowCell::new("slot", 0)).collect();
+            pool.run_vertices(8, |v| cells[v as usize].set(v + 1, "phase-1"));
+            pool.run_vertices(8, |v| {
+                assert_eq!(cells[v as usize].get("phase-2"), v + 1);
+            });
+            let races = session.finish();
+            assert!(races.is_empty(), "{strategy}: false positive {races:?}");
         }
     }
 
@@ -1369,20 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_kind_roundtrip() {
-        for kind in [SchedulerKind::WorkStealing, SchedulerKind::SharedQueue] {
-            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-            assert_eq!(format!("{kind}"), kind.name());
-        }
-        assert_eq!(
-            SchedulerKind::parse("stealing"),
-            Some(SchedulerKind::WorkStealing)
-        );
-        assert_eq!(SchedulerKind::parse("bogus"), None);
-        assert_eq!(SchedulerKind::default(), SchedulerKind::WorkStealing);
-    }
-
-    #[test]
     fn deque_owner_and_thief_drain_disjointly() {
         let d = Deque::new(0..3);
         assert!(matches!(d.steal(), Steal::Taken(0)));
@@ -1432,7 +1279,7 @@ mod tests {
         }
     }
 
-    /// Exactly-once delivery under the stealing backend, shaken across
+    /// Exactly-once delivery under work stealing, shaken across
     /// repeated dispatches on one (reused) pool.
     #[test]
     fn work_stealing_delivers_every_task_exactly_once() {
@@ -1450,9 +1297,9 @@ mod tests {
         }
     }
 
-    /// The stealing backend must reuse its spawned threads: across many
+    /// The pool must reuse its spawned threads: across many
     /// dispatches the set of distinct worker thread ids stays bounded by
-    /// the pool size (the legacy backend spawns fresh threads each time).
+    /// the pool size.
     #[test]
     fn work_stealing_workers_are_persistent() {
         let pool = WorkerPool::new(2);
@@ -1473,21 +1320,6 @@ mod tests {
             !ids.contains(&std::thread::current().id()),
             "tasks run on pool workers, not the submitter"
         );
-    }
-
-    #[test]
-    fn shared_queue_backend_still_works() {
-        for strategy in [
-            ExecutionStrategy::Parallel,
-            ExecutionStrategy::AdversarialSeeded { seed: 9 },
-        ] {
-            let pool = WorkerPool::with_scheduler(4, strategy, SchedulerKind::SharedQueue);
-            let sum = AtomicU64::new(0);
-            pool.run_vertices(257, |v| {
-                sum.fetch_add(v as u64, Ordering::Relaxed);
-            });
-            assert_eq!(sum.load(Ordering::Relaxed), 256 * 257 / 2, "{strategy}");
-        }
     }
 
     #[test]
@@ -1779,23 +1611,6 @@ mod tests {
         assert!(result.is_err(), "worker panic must reach the submitter");
     }
 
-    #[test]
-    fn task_panic_propagates_under_shared_queue() {
-        let result = std::panic::catch_unwind(|| {
-            let pool = WorkerPool::with_scheduler(
-                2,
-                ExecutionStrategy::Parallel,
-                SchedulerKind::SharedQueue,
-            );
-            pool.run_chunks(&[0..1, 1..2, 2..3, 3..4], |r| {
-                if r.start == 2 {
-                    panic!("task failure");
-                }
-            });
-        });
-        assert!(result.is_err(), "worker panic must reach the submitter");
-    }
-
     /// A panic must not wedge the persistent pool: the same pool object
     /// dispatches normally afterwards.
     #[test]
@@ -1852,7 +1667,7 @@ mod tests {
         pool.attach_metrics(Arc::clone(&metrics));
         pool.run_chunks(&[0..1, 1..2, 2..3], |_| {});
         // Dispatch/task counting is strategy-independent; the persistent
-        // backend counters stay 0 (no workers exist to park or steal).
+        // workers' counters stay 0 (no workers exist to park or steal).
         assert_eq!(metrics.dispatches.value(), 1);
         assert_eq!(metrics.tasks.value(), 3);
         assert_eq!(metrics.parks.value(), 0);

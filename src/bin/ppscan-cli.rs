@@ -156,9 +156,20 @@ fn cmd_cluster(args: &[String]) -> i32 {
     let path = &args[0];
     let eps: f64 = parse_or_exit(flag_value(args, "--eps").unwrap_or("0.5"), "--eps");
     let mu: usize = parse_or_exit(flag_value(args, "--mu").unwrap_or("5"), "--mu");
+    let params = match ScanParams::checked(eps, mu) {
+        Ok(params) => params,
+        Err(reason) => {
+            eprintln!("{reason}\n{usage}");
+            return 2;
+        }
+    };
     let mut config = PpScanConfig::default();
     if let Some(t) = flag_value(args, "--threads") {
         config.threads = parse_or_exit(t, "--threads");
+        if config.threads == 0 {
+            eprintln!("--threads must be at least 1\n{usage}");
+            return 2;
+        }
     }
     if let Some(k) = flag_value(args, "--kernel") {
         config.kernel = Kernel::parse(k).unwrap_or_else(|| {
@@ -179,7 +190,7 @@ fn cmd_cluster(args: &[String]) -> i32 {
         g.num_edges()
     );
     let t0 = std::time::Instant::now();
-    let out = run_ppscan(&g, ScanParams::new(eps, mu), &config);
+    let out = run_ppscan(&g, params, &config);
     eprintln!(
         "ppSCAN(eps={eps}, mu={mu}, {} threads, {}) took {:?}",
         config.threads,

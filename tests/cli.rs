@@ -8,15 +8,18 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ppscan-cli"))
 }
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ppscan_cli_{}", std::process::id()));
+/// A scratch directory private to one test: the tests run in parallel
+/// and each removes its directory when done, so a shared one would be
+/// deleted under a test still using it.
+fn tmpdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ppscan_cli_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn generate_stats_cluster_roundtrip() {
-    let dir = tmpdir();
+    let dir = tmpdir("roundtrip");
     let graph_txt = dir.join("g.txt");
     let graph_bin = dir.join("g.bin");
     let clusters = dir.join("clusters.txt");
@@ -107,11 +110,17 @@ fn rejects_unknown_command_and_kernel() {
     let out = cli().arg("frobnicate").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 
-    let dir = tmpdir();
+    let dir = tmpdir("kernel");
     let g = dir.join("k.txt");
     std::fs::write(&g, "0 1\n1 2\n").unwrap();
     let out = cli()
         .args(["cluster", g.to_str().unwrap(), "--kernel", "warp-drive"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    // A retired kernel name is as unknown as a made-up one.
+    let out = cli()
+        .args(["cluster", g.to_str().unwrap(), "--kernel", "autotuned"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -123,8 +132,7 @@ fn rejects_unknown_and_typoed_flags() {
     // Regression: `--epsilonn 0.5` used to be silently ignored (the
     // parser only scanned for known flag names), so the run proceeded
     // with the default ε. Unknown flags must print usage and exit 2.
-    let dir = tmpdir().join("unknown-flags");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("unknown-flags");
     let g = dir.join("u.txt");
     std::fs::write(&g, "0 1\n1 2\n2 0\n").unwrap();
 
@@ -164,6 +172,23 @@ fn rejects_unknown_and_typoed_flags() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing value for --eps"));
+
+    // Out-of-range parameters are rejected with the usage, not a panic.
+    for (flag, value, reason) in [
+        ("--eps", "1.5", "epsilon must be in (0, 1]"),
+        ("--eps", "NaN", "epsilon must be in (0, 1]"),
+        ("--mu", "0", "mu must be at least 1"),
+        ("--threads", "0", "--threads must be at least 1"),
+    ] {
+        let out = cli()
+            .args(["cluster", g.to_str().unwrap(), flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} {value} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(reason), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
+    }
 
     // Known flags still work after validation tightened.
     let out = cli()
