@@ -15,7 +15,7 @@
 //!     [--cases N] [--seed S] [--race-detection] [--report <path>]
 //! ```
 
-use ppscan_core::stress::{run_stress_report, StressConfig};
+use ppscan_core::stress::{run_stress, StressConfig};
 use std::path::PathBuf;
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
         }
     }
 
-    let (result, report) = run_stress_report(&cfg);
+    let (result, report) = run_stress(&cfg);
     if let Some(path) = &report_path {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
@@ -77,7 +77,7 @@ fn main() {
             println!(
                 "stress_sweep: {} cases, {} configs checked, race detection {}",
                 stats.cases,
-                stats.configs_checked,
+                stats.checked,
                 if cfg.race_detection { "on" } else { "off" }
             );
         }

@@ -43,6 +43,7 @@ pub mod scan;
 pub mod scanpp;
 pub mod scanxp;
 pub mod simstore;
+pub mod spine;
 pub mod stress;
 pub mod timing;
 pub mod verify;

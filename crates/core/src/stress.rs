@@ -9,6 +9,10 @@
 //! every case under the FastTrack happens-before detector and embeds
 //! any detected race in the run report.
 //!
+//! The driver is a client of [`crate::spine`], which owns the sweep
+//! loop, the ddmin pass, the corpus and the seed log; this module keeps
+//! the generator ([`case_graph`]), the oracle and [`FailingCase`].
+//!
 //! # Replaying a failure
 //!
 //! A failure prints a banner like
@@ -29,19 +33,21 @@
 //!
 //! Beyond the banner, every shrunk failure is persisted as JSON into
 //! [`StressConfig::corpus_dir`] (default `target/stress-corpus/`).
-//! [`replay_corpus`] reloads everything found there and re-runs each
-//! case's pinned configuration — the `replay_corpus_is_clean` test turns
-//! any lingering corpus entry that still reproduces into a hard test
-//! failure, so fixed bugs clean themselves out of CI while unfixed ones
-//! stay loud.
+//! [`spine::replay_corpus`] reloads everything found there and re-runs
+//! each case's pinned configuration — the `replay_corpus_is_clean` test
+//! turns any lingering corpus entry that still reproduces into a hard
+//! test failure, so fixed bugs clean themselves out of CI while unfixed
+//! ones stay loud.
 //!
-//! [`run_stress_report`] wraps the sweep in a [`RunReport`]: one `seeds`
-//! entry per case (accepted or failing) plus the failure payload, for the
-//! machine-readable run reports the bench harness aggregates.
+//! [`run_stress`] returns the sweep's [`RunReport`] next to its result:
+//! one `seeds` entry per case (accepted or failing) plus the failure
+//! payload, for the machine-readable run reports the bench harness
+//! aggregates.
 
 use crate::params::ScanParams;
 use crate::ppscan::{ppscan, PpScanConfig};
 use crate::result::Clustering;
+use crate::spine::{self, Case, SweepStats, Unit};
 use crate::verify;
 use ppscan_graph::builder::from_edges;
 use ppscan_graph::rng::SplitMix64;
@@ -50,13 +56,42 @@ use ppscan_intersect::Kernel;
 use ppscan_obs::json::Json;
 use ppscan_obs::RunReport;
 use ppscan_sched::ExecutionStrategy;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::PathBuf;
 
-/// A boxed algorithm runner used by the baseline differential checks.
-type RunFn = Box<dyn Fn(&CsrGraph) -> Clustering>;
+/// Runs one algorithm under a pinned configuration. The sequential
+/// baselines ignore the config; the parallel ones read its thread count.
+type RunFn = fn(&CsrGraph, ScanParams, &PpScanConfig) -> Clustering;
 /// Edge-list failure predicate used by the shrinker.
 type FailsFn<'a> = &'a dyn Fn(&[(VertexId, VertexId)]) -> bool;
+
+/// The one mapping from algorithm name to runner, in sweep order: the
+/// sweep, the shrinker and replay all run an algorithm through it. The
+/// flag marks the algorithms that take a thread count.
+static ALGORITHMS: [(&str, bool, RunFn); 6] = [
+    ("scan", false, |g, p, _| crate::scan::scan(g, p).clustering),
+    ("pscan", false, |g, p, _| {
+        crate::pscan::pscan(g, p).clustering
+    }),
+    ("scanpp", false, |g, p, _| crate::scanpp::scanpp(g, p)),
+    ("scanxp", true, |g, p, c| {
+        crate::scanxp::scanxp(g, p, c.threads)
+    }),
+    ("anyscan", true, |g, p, c| {
+        crate::anyscan::anyscan(g, p, c.threads)
+    }),
+    ("ppscan", true, |g, p, c| ppscan(g, p, c).clustering),
+];
+
+/// Scheduler degree threshold of every ppSCAN run the driver makes —
+/// sweep, shrinker and replay alike. Deliberately tiny so every few
+/// vertices form a task and the schedule space is rich.
+const DEGREE_THRESHOLD: u64 = 8;
+/// Reruns per configuration when probing a schedule-dependent failure
+/// during shrinking (a racy mismatch may need several attempts to
+/// re-manifest).
+const REPEATS: usize = 3;
+/// Maximum predicate evaluations the shrinker may spend.
+const SHRINK_BUDGET: usize = 120;
 
 /// What the stress driver sweeps. The defaults satisfy the harness's
 /// acceptance envelope: 3 thread counts × all 3 strategies × 3 kernels.
@@ -77,15 +112,6 @@ pub struct StressConfig {
     /// Also differential-test the sequential baselines (SCAN, pSCAN,
     /// SCAN++) and the parallel non-ppSCAN baselines per case.
     pub check_baselines: bool,
-    /// Scheduler degree threshold — deliberately tiny so every few
-    /// vertices form a task and the schedule space is rich.
-    pub degree_threshold: u64,
-    /// Reruns per configuration when probing a schedule-dependent
-    /// failure during shrinking (a racy mismatch may need several
-    /// attempts to re-manifest).
-    pub repeats: usize,
-    /// Maximum predicate evaluations the shrinker may spend.
-    pub shrink_budget: usize,
     /// Where shrunk failing cases are persisted as JSON (`None` disables
     /// persistence, e.g. for tests that provoke failures on purpose).
     pub corpus_dir: Option<PathBuf>,
@@ -99,21 +125,6 @@ pub struct StressConfig {
     /// concurrent sessions process-wide and adds per-dispatch clock
     /// work.
     pub race_detection: bool,
-}
-
-/// The default failure-corpus directory: `stress-corpus/` under the
-/// cargo target directory (honoring `CARGO_TARGET_DIR`).
-pub fn default_corpus_dir() -> PathBuf {
-    let target = option_env!("CARGO_TARGET_DIR").map_or_else(
-        || {
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("..")
-                .join("..")
-                .join("target")
-        },
-        PathBuf::from,
-    );
-    target.join("stress-corpus")
 }
 
 impl Default for StressConfig {
@@ -130,10 +141,7 @@ impl Default for StressConfig {
             kernels: vec![Kernel::MergeEarly, Kernel::auto(), Kernel::Adaptive],
             params: vec![(0.3, 2), (0.5, 3), (0.8, 4)],
             check_baselines: true,
-            degree_threshold: 8,
-            repeats: 3,
-            shrink_budget: 120,
-            corpus_dir: Some(default_corpus_dir()),
+            corpus_dir: Some(spine::corpus_dir("stress-corpus")),
             race_detection: false,
         }
     }
@@ -195,13 +203,6 @@ impl std::fmt::Display for FailingCase {
     }
 }
 
-/// Maps an algorithm name back to the `'static` string the drivers use.
-fn algorithm_static(name: &str) -> Option<&'static str> {
-    ["scan", "pscan", "scanpp", "scanxp", "anyscan", "ppscan"]
-        .into_iter()
-        .find(|a| *a == name)
-}
-
 impl FailingCase {
     /// Renders a ready-to-paste `#[test]` function pinning this failing
     /// configuration. Pasted into any module of a crate depending on
@@ -223,6 +224,7 @@ impl FailingCase {
             "#[test]\n\
              fn regression_case_{seed:016x}_{algo}() {{\n\
              \x20   // Auto-generated by the stress shrinker (stress::FailingCase).\n\
+             \x20   use ppscan_core::spine::Case as _;\n\
              \x20   let case = ppscan_core::stress::FailingCase {{\n\
              \x20       case_seed: {seed:#x},\n\
              \x20       algorithm: {algo:?},\n\
@@ -251,8 +253,36 @@ impl FailingCase {
         )
     }
 
-    /// Serializes the case (corpus file format).
-    pub fn to_json(&self) -> Json {
+    /// The ppSCAN configuration this case pins: the one place the driver
+    /// builds one, so the sweep, the shrinker and replay all run at
+    /// [`DEGREE_THRESHOLD`]. The baselines read only its thread count.
+    fn run_config(&self) -> PpScanConfig {
+        PpScanConfig::with_threads(self.threads.unwrap_or(1))
+            .kernel(self.kernel.unwrap_or_default())
+            .strategy(self.strategy.unwrap_or_default())
+            .degree_threshold(DEGREE_THRESHOLD)
+    }
+
+    /// Runs the pinned configuration once on `g`.
+    fn run(&self, g: &CsrGraph) -> Clustering {
+        let (_, _, run) = ALGORITHMS
+            .iter()
+            .find(|a| a.0 == self.algorithm)
+            .expect("FailingCase::algorithm names an entry of ALGORITHMS");
+        run(g, ScanParams::new(self.eps, self.mu), &self.run_config())
+    }
+
+    /// Whether the pinned configuration diverges from the reference
+    /// clustering of `edges`' graph in any of `repeats` attempts.
+    fn fails_on(&self, edges: &[(VertexId, VertexId)], repeats: usize) -> bool {
+        let g = from_edges(edges);
+        let reference = verify::reference_clustering(&g, ScanParams::new(self.eps, self.mu));
+        (0..repeats.max(1)).any(|_| self.run(&g) != reference)
+    }
+}
+
+impl Case for FailingCase {
+    fn to_json(&self) -> Json {
         let mut fields = vec![
             ("case_seed".to_string(), Json::from_u64(self.case_seed)),
             (
@@ -271,17 +301,7 @@ impl FailingCase {
         }
         fields.push(("eps".to_string(), Json::Num(self.eps)));
         fields.push(("mu".to_string(), Json::from_u64(self.mu as u64)));
-        fields.push((
-            "edges".to_string(),
-            Json::Arr(
-                self.edges
-                    .iter()
-                    .map(|&(u, v)| {
-                        Json::Arr(vec![Json::from_u64(u as u64), Json::from_u64(v as u64)])
-                    })
-                    .collect(),
-            ),
-        ));
+        fields.push(("edges".to_string(), spine::edges_to_json(&self.edges)));
         fields.push(("detail".to_string(), Json::Str(self.detail.clone())));
         // Informational only — `from_json` ignores it; regenerate with
         // `regression_test_body()` after editing a corpus entry.
@@ -292,48 +312,41 @@ impl FailingCase {
         Json::Obj(fields)
     }
 
-    /// Deserializes a corpus entry written by [`FailingCase::to_json`].
-    /// Returns `None` on any missing/ill-typed field or unknown
-    /// algorithm/kernel/strategy name.
-    pub fn from_json(json: &Json) -> Option<FailingCase> {
-        let algorithm = algorithm_static(json.get("algorithm")?.as_str()?)?;
+    /// Also `None` on an unknown algorithm/kernel/strategy name, and on
+    /// `threads: 0` or an (ε, µ) that [`ScanParams::checked`] rejects —
+    /// each would panic inside the replayed run.
+    fn from_json(json: &Json) -> Option<FailingCase> {
+        let name = json.get("algorithm")?.as_str()?;
+        let algorithm = ALGORITHMS.iter().find(|a| a.0 == name)?.0;
         let kernel = match json.get("kernel") {
             Some(k) => Some(Kernel::parse(k.as_str()?)?),
             None => None,
         };
         let threads = match json.get("threads") {
-            Some(t) => Some(usize::try_from(t.as_u64()?).ok()?),
+            Some(t) => Some(usize::try_from(t.as_u64()?).ok().filter(|&t| t >= 1)?),
             None => None,
         };
         let strategy = match json.get("strategy") {
             Some(s) => Some(ExecutionStrategy::parse(s.as_str()?)?),
             None => None,
         };
-        let mut edges = Vec::new();
-        for e in json.get("edges")?.as_arr()? {
-            let pair = e.as_arr()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            let u = u32::try_from(pair[0].as_u64()?).ok()?;
-            let v = u32::try_from(pair[1].as_u64()?).ok()?;
-            edges.push((u, v));
-        }
+        let eps = json.get("eps")?.as_f64()?;
+        let mu = usize::try_from(json.get("mu")?.as_u64()?).ok()?;
+        ScanParams::checked(eps, mu).ok()?;
         Some(FailingCase {
             case_seed: json.get("case_seed")?.as_u64()?,
             algorithm,
             kernel,
             threads,
             strategy,
-            eps: json.get("eps")?.as_f64()?,
-            mu: usize::try_from(json.get("mu")?.as_u64()?).ok()?,
-            edges,
+            eps,
+            mu,
+            edges: spine::edges_from_json(json.get("edges")?)?,
             detail: json.get("detail")?.as_str()?.to_string(),
         })
     }
 
-    /// Corpus file name for this case, unique per (seed, configuration).
-    pub fn corpus_file_name(&self) -> String {
+    fn corpus_file_name(&self) -> String {
         let kernel = self.kernel.map_or("none".into(), |k| k.name().to_string());
         let strategy = self
             .strategy
@@ -349,73 +362,9 @@ impl FailingCase {
         )
     }
 
-    /// Re-runs exactly this case's pinned configuration on the embedded
-    /// (shrunk) graph, `repeats` times. Returns `true` if the divergence
-    /// from the reference clustering still manifests.
-    pub fn reproduces(&self, repeats: usize) -> bool {
-        let g = from_edges(&self.edges);
-        let p = ScanParams::new(self.eps, self.mu);
-        let reference = verify::reference_clustering(&g, p);
-        let threads = self.threads.unwrap_or(1);
-        let run: RunFn = match self.algorithm {
-            "scan" => Box::new(move |g| crate::scan::scan(g, p).clustering),
-            "pscan" => Box::new(move |g| crate::pscan::pscan(g, p).clustering),
-            "scanpp" => Box::new(move |g| crate::scanpp::scanpp(g, p)),
-            "scanxp" => Box::new(move |g| crate::scanxp::scanxp(g, p, threads)),
-            "anyscan" => Box::new(move |g| crate::anyscan::anyscan(g, p, threads)),
-            _ => {
-                let cfg = PpScanConfig::with_threads(threads)
-                    .kernel(self.kernel.unwrap_or_default())
-                    .strategy(self.strategy.unwrap_or_default());
-                Box::new(move |g| ppscan(g, p, &cfg).clustering)
-            }
-        };
-        (0..repeats.max(1)).any(|_| run(&g) != reference)
+    fn reproduces(&self, repeats: usize) -> bool {
+        self.fails_on(&self.edges, repeats)
     }
-}
-
-/// Loads every corpus entry under `dir` and re-runs it ([`FailingCase::
-/// reproduces`] with `repeats` attempts). Returns `(case, still_failing)`
-/// pairs; a missing directory is an empty (clean) corpus. Unparseable
-/// files are an error — a corrupt corpus should be loud, not skipped.
-pub fn replay_corpus(dir: &Path, repeats: usize) -> Result<Vec<(FailingCase, bool)>, String> {
-    if !dir.exists() {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("reading corpus dir {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            // Only `case-*.json` entries are corpus cases; the directory
-            // also holds the sweep's seed-log report.
-            p.extension().is_some_and(|x| x == "json")
-                && p.file_name()
-                    .is_some_and(|n| n.to_string_lossy().starts_with("case-"))
-        })
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let json = ppscan_obs::json::parse(&text)
-            .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-        let case = FailingCase::from_json(&json)
-            .ok_or_else(|| format!("malformed corpus entry {}", path.display()))?;
-        let still_failing = case.reproduces(repeats);
-        out.push((case, still_failing));
-    }
-    Ok(out)
-}
-
-/// Aggregate statistics of a green sweep.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StressStats {
-    /// Graphs swept.
-    pub cases: u64,
-    /// Individual (algorithm, kernel, threads, strategy, ε, µ) runs
-    /// compared against the reference.
-    pub configs_checked: u64,
 }
 
 /// Deterministically generates case `case_seed`'s graph: a seeded pick
@@ -444,207 +393,62 @@ pub fn case_graph(case_seed: u64) -> CsrGraph {
     }
 }
 
-/// Runs the full sweep. `Ok` carries coverage statistics; `Err` carries
-/// the first failing configuration, already shrunk and replayable.
-pub fn run_stress(cfg: &StressConfig) -> Result<StressStats, Box<FailingCase>> {
-    let mut stats = StressStats::default();
-    for i in 0..cfg.cases {
-        stats.configs_checked += replay_case(cfg.master_seed.wrapping_add(i), cfg)?;
-        stats.cases += 1;
-    }
-    Ok(stats)
-}
-
-/// Runs the full sweep like [`run_stress`], additionally producing a
-/// [`RunReport`] that records **every** case seed (accepted and failing)
-/// under `extra["seeds"]`, with the shrunk failure payload inline when a
-/// case diverges. The report is returned even on failure, so the stress
+/// Runs the full sweep through [`spine::sweep`]. `Ok` carries coverage
+/// statistics; `Err` carries the first failing configuration, already
+/// shrunk, replayable and persisted into [`StressConfig::corpus_dir`].
+/// The [`RunReport`] records **every** case seed (accepted and failing)
+/// under `extra["seeds"]` and comes back even on failure, so the stress
 /// binary can persist it either way.
-pub fn run_stress_report(cfg: &StressConfig) -> (Result<StressStats, Box<FailingCase>>, RunReport) {
-    let wall = Instant::now();
+pub fn run_stress(cfg: &StressConfig) -> (Result<SweepStats, Box<FailingCase>>, RunReport) {
     let mut report = RunReport::new("stress");
     report.push_extra("master_seed", Json::from_u64(cfg.master_seed));
     report.push_extra("cases", Json::from_u64(cfg.cases));
     report.push_extra("race_detection", Json::Bool(cfg.race_detection));
-    let mut seeds = Vec::new();
-    let mut stats = StressStats::default();
-    let mut failure = None;
-    for i in 0..cfg.cases {
+    let units = (0..cfg.cases).map(|i| {
         let seed = cfg.master_seed.wrapping_add(i);
-        // One detection session per case keeps the vector clocks small
-        // and tags any detected race with the case it came from.
-        let session = cfg
-            .race_detection
-            .then(ppscan_obs::race::DetectionSession::begin);
-        let outcome = replay_case(seed, cfg);
-        let case_races = session.map_or_else(Vec::new, |s| s.finish());
-        match outcome {
-            Ok(checked) => {
-                stats.cases += 1;
-                stats.configs_checked += checked;
-                seeds.push(Json::Obj(vec![
-                    ("seed".to_string(), Json::from_u64(seed)),
-                    ("status".to_string(), Json::Str("ok".to_string())),
-                    ("configs_checked".to_string(), Json::from_u64(checked)),
-                    ("races".to_string(), Json::from_u64(case_races.len() as u64)),
-                ]));
-                report.races.extend(case_races);
-            }
-            Err(case) => {
-                seeds.push(Json::Obj(vec![
-                    ("seed".to_string(), Json::from_u64(seed)),
-                    ("status".to_string(), Json::Str("failed".to_string())),
-                    ("case".to_string(), case.to_json()),
-                ]));
-                report.races.extend(case_races);
-                failure = Some(case);
-                break;
-            }
+        Unit {
+            seed,
+            fields: Vec::new(),
+            check: move |checked: &mut u64| check_case(seed, cfg, checked),
         }
-    }
-    report.push_extra("seeds", Json::Arr(seeds));
-    report.push_extra("configs_checked", Json::from_u64(stats.configs_checked));
-    report.wall_nanos = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (failure.map_or(Ok(stats), Err), report)
+    });
+    spine::sweep(report, units, cfg.corpus_dir.as_deref(), cfg.race_detection)
 }
 
 /// Re-runs every configuration of one case (the unit a failure banner
 /// points back at). Returns the number of configurations checked.
 pub fn replay_case(case_seed: u64, cfg: &StressConfig) -> Result<u64, Box<FailingCase>> {
+    let mut checked = 0;
+    check_case(case_seed, cfg, &mut checked).map(|()| checked)
+}
+
+/// [`replay_case`], counting each configuration into `checked` as it
+/// runs, so the seed log can report a failing case's count too.
+fn check_case(
+    case_seed: u64,
+    cfg: &StressConfig,
+    checked: &mut u64,
+) -> Result<(), Box<FailingCase>> {
     let g = case_graph(case_seed);
-    let mut checked = 0u64;
     for &(eps, mu) in &cfg.params {
-        let p = ScanParams::new(eps, mu);
-        let reference = verify::reference_clustering(&g, p);
-
-        if cfg.check_baselines {
-            checked += check_baselines(case_seed, &g, p, &reference, cfg)?;
-        }
-
-        for &kernel in &cfg.kernels {
-            if !kernel.available() {
-                continue;
-            }
-            for &threads in &cfg.thread_counts {
-                for &strategy in &cfg.strategies {
-                    checked += 1;
-                    let run_cfg = PpScanConfig::with_threads(threads)
-                        .kernel(kernel)
-                        .strategy(strategy)
-                        .degree_threshold(cfg.degree_threshold);
-                    let got = ppscan(&g, p, &run_cfg).clustering;
-                    if got != reference {
-                        return Err(report(
-                            case_seed,
-                            &g,
-                            "ppscan",
-                            Some(kernel),
-                            Some(threads),
-                            Some(strategy),
-                            eps,
-                            mu,
-                            &got,
-                            cfg,
-                            &|g| ppscan(g, p, &run_cfg).clustering,
-                        ));
-                    }
-                }
+        let reference = verify::reference_clustering(&g, ScanParams::new(eps, mu));
+        for pinned in pinned_configs(case_seed, eps, mu, cfg) {
+            *checked += 1;
+            let got = pinned.run(&g);
+            if got != reference {
+                return Err(shrunk(pinned, &g, &got));
             }
         }
     }
-    Ok(checked)
+    Ok(())
 }
 
-/// Differential checks of the non-ppSCAN implementations for one
-/// parameter point.
-fn check_baselines(
-    case_seed: u64,
-    g: &CsrGraph,
-    p: ScanParams,
-    reference: &Clustering,
-    cfg: &StressConfig,
-) -> Result<u64, Box<FailingCase>> {
-    let threads = cfg.thread_counts.last().copied().unwrap_or(2);
-    let runs: [(&'static str, Option<usize>, RunFn); 5] = [
-        (
-            "scan",
-            None,
-            Box::new(move |g| crate::scan::scan(g, p).clustering),
-        ),
-        (
-            "pscan",
-            None,
-            Box::new(move |g| crate::pscan::pscan(g, p).clustering),
-        ),
-        (
-            "scanpp",
-            None,
-            Box::new(move |g| crate::scanpp::scanpp(g, p)),
-        ),
-        (
-            "scanxp",
-            Some(threads),
-            Box::new(move |g| crate::scanxp::scanxp(g, p, threads)),
-        ),
-        (
-            "anyscan",
-            Some(threads),
-            Box::new(move |g| crate::anyscan::anyscan(g, p, threads)),
-        ),
-    ];
-    for (name, t, run) in &runs {
-        let got = run(g);
-        if got != *reference {
-            return Err(report(
-                case_seed,
-                g,
-                name,
-                None,
-                *t,
-                None,
-                p.epsilon.as_f64(),
-                p.mu,
-                &got,
-                cfg,
-                run.as_ref(),
-            ));
-        }
-    }
-    Ok(runs.len() as u64)
-}
-
-/// Builds the failure report: shrinks the graph under the failing
-/// configuration, then packages the banner fields.
-#[allow(clippy::too_many_arguments)]
-fn report(
-    case_seed: u64,
-    g: &CsrGraph,
-    algorithm: &'static str,
-    kernel: Option<Kernel>,
-    threads: Option<usize>,
-    strategy: Option<ExecutionStrategy>,
-    eps: f64,
-    mu: usize,
-    got: &Clustering,
-    cfg: &StressConfig,
-    run: &dyn Fn(&CsrGraph) -> Clustering,
-) -> Box<FailingCase> {
-    let p = ScanParams::new(eps, mu);
-    let detail = verify::check_clustering(g, p, got)
-        .err()
-        .unwrap_or_else(|| "clustering differs from reference".into());
-
-    let edges: Vec<(VertexId, VertexId)> = g.undirected_edges().collect();
-    let mut budget = cfg.shrink_budget;
-    let fails = |edges: &[(VertexId, VertexId)]| {
-        let g = from_edges(edges);
-        let reference = verify::reference_clustering(&g, p);
-        (0..cfg.repeats.max(1)).any(|_| run(&g) != reference)
-    };
-    let edges = shrink_edges(edges, &mut budget, &fails);
-    let edges = shrink_vertices(edges, &mut budget, &fails);
-
-    let case = Box::new(FailingCase {
+/// Every configuration one (ε, µ) point of a case runs, in sweep order:
+/// the baselines (when enabled), then ppSCAN over kernel × threads ×
+/// strategy. Each is a [`FailingCase`] without a graph yet, the shape a
+/// failure is reported in.
+fn pinned_configs(case_seed: u64, eps: f64, mu: usize, cfg: &StressConfig) -> Vec<FailingCase> {
+    let pin = |algorithm, kernel, threads, strategy| FailingCase {
         case_seed,
         algorithm,
         kernel,
@@ -652,59 +456,38 @@ fn report(
         strategy,
         eps,
         mu,
-        edges,
-        detail,
-    });
-    if let Some(dir) = &cfg.corpus_dir {
-        persist_case(dir, &case);
-    }
-    case
-}
-
-/// Writes one shrunk failure into the corpus directory. Best-effort:
-/// persistence failing must not mask the differential failure itself.
-fn persist_case(dir: &Path, case: &FailingCase) {
-    let path = dir.join(case.corpus_file_name());
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(&path, case.to_json().to_pretty_string())
+        edges: Vec::new(),
+        detail: String::new(),
     };
-    match write() {
-        Ok(()) => eprintln!("stress: failing case persisted to {}", path.display()),
-        Err(e) => eprintln!("stress: could not persist {}: {e}", path.display()),
+    let mut pins = Vec::new();
+    if cfg.check_baselines {
+        let threads = cfg.thread_counts.last().copied().unwrap_or(2);
+        for &(name, parallel, _) in ALGORITHMS.iter().filter(|a| a.0 != "ppscan") {
+            pins.push(pin(name, None, parallel.then_some(threads), None));
+        }
     }
-}
-
-/// ddmin-style greedy edge minimization: repeatedly drop chunks of edges
-/// (halving the chunk size down to single edges) while the failure still
-/// reproduces, within `budget` predicate evaluations. The result is
-/// 1-minimal w.r.t. the chunks tried, not globally minimal — good enough
-/// to turn a 500-edge reproduction into a screenful.
-fn shrink_edges(
-    mut edges: Vec<(VertexId, VertexId)>,
-    budget: &mut usize,
-    fails: FailsFn<'_>,
-) -> Vec<(VertexId, VertexId)> {
-    let mut chunk = (edges.len() / 2).max(1);
-    loop {
-        let mut i = 0;
-        while i < edges.len() && *budget > 0 {
-            let mut candidate = edges.clone();
-            let end = (i + chunk).min(candidate.len());
-            candidate.drain(i..end);
-            *budget -= 1;
-            if !candidate.is_empty() && fails(&candidate) {
-                edges = candidate;
-            } else {
-                i = end;
+    for &kernel in cfg.kernels.iter().filter(|k| k.available()) {
+        for &threads in &cfg.thread_counts {
+            for &strategy in &cfg.strategies {
+                pins.push(pin("ppscan", Some(kernel), Some(threads), Some(strategy)));
             }
         }
-        if chunk == 1 || *budget == 0 {
-            break;
-        }
-        chunk = (chunk / 2).max(1);
     }
-    edges
+    pins
+}
+
+/// Builds the failure report: records the verifier's detail, then
+/// shrinks the graph under the failing configuration.
+fn shrunk(mut case: FailingCase, g: &CsrGraph, got: &Clustering) -> Box<FailingCase> {
+    case.detail = verify::check_clustering(g, ScanParams::new(case.eps, case.mu), got)
+        .err()
+        .unwrap_or_else(|| "clustering differs from reference".into());
+    let mut budget = SHRINK_BUDGET;
+    // A graph without edges is never kept as the reproduction.
+    let fails = |edges: &[(VertexId, VertexId)]| !edges.is_empty() && case.fails_on(edges, REPEATS);
+    let edges = spine::shrink(g.undirected_edges().collect(), &mut budget, &fails);
+    case.edges = shrink_vertices(edges, &mut budget, &fails);
+    Box::new(case)
 }
 
 /// Induces the subgraph on `kept` (sorted) and remaps surviving vertex
@@ -724,7 +507,7 @@ fn induce_and_remap(
         .collect()
 }
 
-/// Vertex-subset minimization, composed after [`shrink_edges`]: drops
+/// Vertex-subset minimization, composed after [`spine::shrink`]: drops
 /// chunks of *vertices* (removing every incident edge) and remaps the
 /// survivors to dense ids `0..k`, while the failure still reproduces on
 /// the remapped graph. Edge-level ddmin cannot shed high-id spectator
@@ -785,25 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn shrinker_minimizes_against_a_simple_predicate() {
-        // Predicate: fails whenever edge (2, 3) is present. The shrinker
-        // must reduce any superset to exactly that edge.
-        let edges: Vec<(VertexId, VertexId)> = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)];
-        let fails = |e: &[(VertexId, VertexId)]| e.contains(&(2, 3));
-        let mut budget = 100;
-        let shrunk = shrink_edges(edges, &mut budget, &fails);
-        assert_eq!(shrunk, vec![(2, 3)]);
-    }
-
-    #[test]
-    fn shrinker_respects_budget() {
-        let edges: Vec<(VertexId, VertexId)> = (0..100).map(|i| (i, i + 1)).collect();
-        let mut budget = 3;
-        let _ = shrink_edges(edges, &mut budget, &|_| true);
-        assert_eq!(budget, 0);
-    }
-
-    #[test]
     fn vertex_shrinker_drops_spectators_and_remaps_dense() {
         // Predicate: fails whenever the graph contains a triangle. The
         // triangle lives on high ids 10-20-30; the tail 0-1-2 and the
@@ -857,7 +621,7 @@ mod tests {
             race_detection: true,
             ..StressConfig::default()
         };
-        let (result, report) = run_stress_report(&cfg);
+        let (result, report) = run_stress(&cfg);
         result.expect("clean sweep");
         assert!(
             report.races.is_empty(),
@@ -977,24 +741,46 @@ mod tests {
     }
 
     #[test]
-    fn corpus_files_roundtrip_through_replay() {
-        // Persist a (healthy) case, then replay the directory: the entry
-        // must load and report itself as no-longer-failing.
-        let dir = default_corpus_dir()
-            .parent()
-            .unwrap()
-            .join("stress-corpus-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let case = FailingCase {
-            edges: gen::complete(4).undirected_edges().collect(),
-            strategy: Some(ExecutionStrategy::SequentialDeterministic),
-            ..sample_case()
-        };
-        persist_case(&dir, &case);
-        let replayed = replay_corpus(&dir, 2).unwrap();
-        assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].0.case_seed, case.case_seed);
-        assert!(!replayed[0].1, "healthy case must not reproduce");
+    fn replay_runs_at_the_sweep_degree_threshold() {
+        // Replay must run the configuration the sweep and the shrinker
+        // ran: at the scheduler's default threshold a small graph is one
+        // task per phase, and a schedule-dependent failure could not
+        // come back.
+        let case = sample_case();
+        let g = from_edges(&case.edges);
+        let run = ppscan(&g, ScanParams::new(case.eps, case.mu), &case.run_config());
+        assert_eq!(run.report.degree_threshold, Some(8));
+        assert_eq!(DEGREE_THRESHOLD, 8);
+    }
+
+    #[test]
+    fn replay_rejects_out_of_range_entries() {
+        // `threads: 0`, `mu: 0` and `eps: 1.5` would each panic inside
+        // the replayed run; replay reports the entry as malformed.
+        let dir = spine::corpus_dir("stress-corpus-bad-test");
+        for (key, value) in [
+            ("threads", Json::from_u64(0)),
+            ("mu", Json::from_u64(0)),
+            ("eps", Json::Num(1.5)),
+        ] {
+            let Json::Obj(fields) = sample_case().to_json() else {
+                unreachable!("a case serializes to an object")
+            };
+            let edited: Vec<(String, Json)> = fields
+                .into_iter()
+                .map(|(k, v)| if k == key { (k, value.clone()) } else { (k, v) })
+                .collect();
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("case-edited.json");
+            std::fs::write(&path, Json::Obj(edited).to_pretty_string()).unwrap();
+            let err = spine::replay_corpus::<FailingCase>(&dir, 1).unwrap_err();
+            assert_eq!(
+                err,
+                format!("malformed corpus entry {}", path.display()),
+                "{key}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1003,7 +789,8 @@ mod tests {
         // The real corpus directory: anything a previous stress run left
         // behind must no longer reproduce. An empty/missing directory is
         // trivially clean.
-        let replayed = replay_corpus(&default_corpus_dir(), 3).unwrap();
+        let replayed =
+            spine::replay_corpus::<FailingCase>(&spine::corpus_dir("stress-corpus"), 3).unwrap();
         let failing: Vec<_> = replayed
             .iter()
             .filter(|(_, still)| *still)
@@ -1019,7 +806,7 @@ mod tests {
     #[test]
     fn stress_report_logs_every_seed() {
         let cfg = tiny_config();
-        let (result, report) = run_stress_report(&cfg);
+        let (result, report) = run_stress(&cfg);
         let stats = result.expect("tiny sweep must be green");
         assert_eq!(stats.cases, cfg.cases);
         assert_eq!(report.algorithm, "stress");
@@ -1033,12 +820,9 @@ mod tests {
                 cfg.master_seed + i as u64
             );
             assert_eq!(entry.get("status").unwrap().as_str().unwrap(), "ok");
-            assert!(entry.get("configs_checked").unwrap().as_u64().unwrap() > 0);
+            assert!(entry.get("checked").unwrap().as_u64().unwrap() > 0);
         }
-        assert_eq!(
-            extra("configs_checked").unwrap().as_u64().unwrap(),
-            stats.configs_checked
-        );
+        assert_eq!(extra("checked").unwrap().as_u64().unwrap(), stats.checked);
         // The report round-trips like any other.
         let parsed = RunReport::parse(&report.to_json_string()).unwrap();
         assert_eq!(parsed, report);

@@ -13,10 +13,21 @@ use std::path::Path;
 /// Parses a SNAP-style edge list: one `u v` pair per line, `#` or `%`
 /// comment lines ignored, arbitrary whitespace separators. Self loops and
 /// duplicate edges are normalized away by the builder.
+///
+/// The graph is sized by its largest vertex id, so an id the input's
+/// length cannot account for is `InvalidData` rather than an allocation
+/// of that size: the largest id plus one may exceed the bytes read by at
+/// most 2²⁰ (`MAX_RESERVE`). A file with dense ids always passes, since
+/// each line of at least 4 bytes names at most 2 ids.
 pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<CsrGraph> {
     let mut builder = GraphBuilder::new();
+    let mut bytes_read = 0usize;
+    // The largest id seen and the (0-based) line naming it first.
+    let (mut max_id, mut max_line) = (0 as VertexId, 0usize);
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
+        // `+ 1` for the newline `lines()` strips.
+        bytes_read += line.len() + 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
             continue;
@@ -29,7 +40,23 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<CsrGraph> {
         };
         let u = parse(it.next())?;
         let v = parse(it.next())?;
+        if u > max_id {
+            (max_id, max_line) = (u, lineno);
+        }
+        if v > max_id {
+            (max_id, max_line) = (v, lineno);
+        }
         builder.push_edge(u, v);
+    }
+    if max_id as usize + 1 > MAX_RESERVE + bytes_read {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "vertex id {max_id} on line {} is out of proportion to a {}-byte edge list",
+                max_line + 1,
+                bytes_read
+            ),
+        ));
     }
     Ok(builder.build())
 }
@@ -65,7 +92,9 @@ const BINARY_MAGIC: &[u8; 8] = b"PPSCANG1";
 /// Most elements [`read_binary`] reserves for an array before reading
 /// it. The header's counts are untrusted, so longer arrays grow as their
 /// data arrives: a header that overstates them ends in an
-/// `UnexpectedEof` error, not in an allocation of the claimed size.
+/// `UnexpectedEof` error, not in an allocation of the claimed size. Also
+/// the slack [`read_edge_list`] allows between its largest vertex id and
+/// the bytes it read.
 const MAX_RESERVE: usize = 1 << 20;
 
 /// Writes the compact binary CSR format, all little-endian: the magic,
@@ -153,6 +182,18 @@ mod tests {
         let err = read_edge_list("0 x\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("line 1"));
         assert!(read_edge_list("42\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn edge_list_rejects_ids_out_of_proportion_to_its_size() {
+        // One line naming id 2^32 - 2 would size the graph to 2^32
+        // vertices (four 32 GiB arrays in the builder).
+        let err = read_edge_list("0 4294967294\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("4294967294 on line 1"), "{err}");
+        // Ids up to the 2^20 slack still load.
+        let g = read_edge_list("0 1048576\n".as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), (1 << 20) + 1);
     }
 
     #[test]

@@ -6,17 +6,22 @@
 //! edited graph, and [`IncrementalClustering`]'s union-find surgery must
 //! materialize the same clustering as a fresh query.
 //!
-//! A divergence is **shrunk** before it is reported: first the op list
-//! (ddmin over insert/delete ops), then the base edge list (ddmin with
-//! the surviving ops pinned), within a shared predicate budget. The
-//! shrunk [`UpdateCase`] is persisted as JSON into
-//! [`UpdateStressConfig::corpus_dir`] (default `target/update-corpus/`)
-//! and [`replay_update_corpus`] re-runs everything found there — the
-//! `replay_update_corpus_is_clean` test keeps fixed bugs self-cleaning
-//! and unfixed ones loud, exactly like the core stress corpus.
+//! The driver is the second client of [`ppscan_core::spine`], which owns
+//! the sweep loop, the ddmin pass, the corpus and the seed log; this
+//! module keeps the generator zoo, the oracle ([`divergence`]) and
+//! [`UpdateCase`]. A divergence is **shrunk** before it is reported:
+//! first the op list (ddmin over insert/delete ops), then the base edge
+//! list (ddmin with the surviving ops pinned), within a shared predicate
+//! budget. The shrunk [`UpdateCase`] is persisted as JSON into the corpus
+//! directory [`run_update_stress`] is given (normally
+//! `target/update-corpus/`) and [`spine::replay_corpus`] re-runs
+//! everything found there — the `replay_update_corpus_is_clean` test
+//! keeps fixed bugs self-cleaning and unfixed ones loud, exactly like the
+//! core stress corpus.
 
 use crate::IncrementalClustering;
 use ppscan_core::params::ScanParams;
+use ppscan_core::spine::{self, Case, SweepStats, Unit};
 use ppscan_graph::delta::GraphDelta;
 use ppscan_graph::rng::SplitMix64;
 use ppscan_graph::{gen, CsrGraph, GraphBuilder, VertexId};
@@ -26,9 +31,8 @@ use ppscan_obs::RunReport;
 use ppscan_sched::{ExecutionStrategy, WorkerPool};
 use std::collections::HashSet;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The generator zoo the sweep covers, by family index.
 pub const ZOO: [&str; 11] = [
@@ -176,74 +180,30 @@ pub fn hot_delta(g: &CsrGraph, size: usize, seed: u64) -> GraphDelta {
     delta
 }
 
-/// What the update sweep covers. Defaults satisfy the acceptance
-/// envelope: every strategy × batch sizes {1, 16, 1% of |E|} × ≥ 5 seeds
-/// per generator family.
-#[derive(Clone, Debug)]
-pub struct UpdateStressConfig {
-    /// Base seed; family `f`, seed index `i` derive from it.
-    pub master_seed: u64,
-    /// Seeds swept per generator family.
-    pub seeds_per_generator: u64,
-    /// Execution strategies driven through the repair path's pool.
-    pub strategies: Vec<ExecutionStrategy>,
-    /// Batch sizes.
-    pub batches: Vec<BatchSpec>,
-    /// (ε, µ) grid checked per batch.
-    pub params: Vec<(f64, usize)>,
-    /// Worker threads for both incremental and from-scratch sides.
-    pub threads: usize,
-    /// Sequential batches applied per (graph, strategy, batch) case —
-    /// each checked against from-scratch on the evolving graph.
-    pub chain: usize,
-    /// Reruns when probing a schedule-dependent failure while shrinking.
-    pub repeats: usize,
-    /// Maximum predicate evaluations the shrinker may spend.
-    pub shrink_budget: usize,
-    /// Where shrunk failing cases are persisted (`None` disables).
-    pub corpus_dir: Option<PathBuf>,
-}
-
-impl Default for UpdateStressConfig {
-    fn default() -> Self {
-        UpdateStressConfig {
-            master_seed: 0x00ed_1700,
-            seeds_per_generator: 5,
-            strategies: vec![
-                ExecutionStrategy::Parallel,
-                ExecutionStrategy::SequentialDeterministic,
-                ExecutionStrategy::AdversarialSeeded { seed: 0xdead_beef },
-            ],
-            batches: vec![
-                BatchSpec::Fixed(1),
-                BatchSpec::Fixed(16),
-                BatchSpec::EdgeFraction(0.01),
-            ],
-            params: vec![(0.4, 2), (0.65, 3)],
-            threads: 2,
-            chain: 1,
-            repeats: 3,
-            shrink_budget: 80,
-            corpus_dir: Some(default_update_corpus_dir()),
-        }
-    }
-}
-
-/// The default failure-corpus directory: `update-corpus/` under the
-/// cargo target directory (honoring `CARGO_TARGET_DIR`), separate from
-/// the core stress corpus so replays stay per-subsystem.
-pub fn default_update_corpus_dir() -> PathBuf {
-    let target = option_env!("CARGO_TARGET_DIR").map_or_else(
-        || {
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("..")
-                .join("..")
-                .join("target")
-        },
-        PathBuf::from,
-    );
-    target.join("update-corpus")
-}
+/// Base seed every (family, seed index) graph seed derives from.
+const MASTER_SEED: u64 = 0x00ed_1700;
+/// Seeds swept per generator family.
+const SEEDS_PER_GENERATOR: u64 = 5;
+/// Execution strategies driven through the repair path's pool.
+const STRATEGIES: [ExecutionStrategy; 3] = [
+    ExecutionStrategy::Parallel,
+    ExecutionStrategy::SequentialDeterministic,
+    ExecutionStrategy::AdversarialSeeded { seed: 0xdead_beef },
+];
+/// Batch sizes: the acceptance envelope's {1, 16, 1% of |E|}.
+const BATCHES: [BatchSpec; 3] = [
+    BatchSpec::Fixed(1),
+    BatchSpec::Fixed(16),
+    BatchSpec::EdgeFraction(0.01),
+];
+/// (ε, µ) grid checked per batch.
+const PARAMS: [(f64, usize); 2] = [(0.4, 2), (0.65, 3)];
+/// Worker threads for both incremental and from-scratch sides.
+const THREADS: usize = 2;
+/// Reruns when probing a schedule-dependent failure while shrinking.
+const REPEATS: usize = 3;
+/// Maximum predicate evaluations the shrinker may spend.
+const SHRINK_BUDGET: usize = 80;
 
 /// A shrunk, replayable divergence between the incremental and
 /// from-scratch paths.
@@ -259,8 +219,6 @@ pub struct UpdateCase {
     pub threads: usize,
     /// Batch label ([`BatchSpec::label`]).
     pub batch: String,
-    /// Chain step at which the divergence manifested.
-    pub step: usize,
     /// Vertex count of the base graph (kept explicit: ops may reference
     /// vertices the shrunk edge list no longer mentions).
     pub num_vertices: usize,
@@ -286,16 +244,15 @@ impl UpdateCase {
     /// Rebuilds the embedded delta. Ill-formed ops (possible only in a
     /// hand-edited corpus entry) are dropped rather than panicking.
     pub fn delta(&self) -> GraphDelta {
-        delta_from_ops(&self.ops)
-    }
-
-    /// Re-runs exactly this case's pinned configuration, `repeats`
-    /// times. `true` if the divergence still manifests.
-    pub fn reproduces(&self, repeats: usize) -> bool {
-        let g = self.graph();
-        let delta = self.delta();
-        (0..repeats.max(1))
-            .any(|_| divergence(&g, &delta, self.strategy, self.threads, &self.params).is_some())
+        let mut delta = GraphDelta::new();
+        for &(ins, u, v) in &self.ops {
+            let _ = if ins {
+                delta.insert(u, v)
+            } else {
+                delta.delete(u, v)
+            };
+        }
+        delta
     }
 
     /// Family name (defensive against out-of-range indices in edited
@@ -303,9 +260,10 @@ impl UpdateCase {
     pub fn family_name(&self) -> &'static str {
         ZOO[self.family % ZOO.len()]
     }
+}
 
-    /// Serializes the case (corpus file format).
-    pub fn to_json(&self) -> Json {
+impl Case for UpdateCase {
+    fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("family".to_string(), Json::from_u64(self.family as u64)),
             (
@@ -316,22 +274,11 @@ impl UpdateCase {
             ("strategy".to_string(), Json::Str(self.strategy.to_string())),
             ("threads".to_string(), Json::from_u64(self.threads as u64)),
             ("batch".to_string(), Json::Str(self.batch.clone())),
-            ("step".to_string(), Json::from_u64(self.step as u64)),
             (
                 "num_vertices".to_string(),
                 Json::from_u64(self.num_vertices as u64),
             ),
-            (
-                "edges".to_string(),
-                Json::Arr(
-                    self.edges
-                        .iter()
-                        .map(|&(u, v)| {
-                            Json::Arr(vec![Json::from_u64(u as u64), Json::from_u64(v as u64)])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("edges".to_string(), spine::edges_to_json(&self.edges)),
             (
                 "ops".to_string(),
                 Json::Arr(
@@ -362,19 +309,11 @@ impl UpdateCase {
         ])
     }
 
-    /// Deserializes a corpus entry written by [`UpdateCase::to_json`].
-    pub fn from_json(json: &Json) -> Option<UpdateCase> {
-        let mut edges = Vec::new();
-        for e in json.get("edges")?.as_arr()? {
-            let pair = e.as_arr()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            edges.push((
-                u32::try_from(pair[0].as_u64()?).ok()?,
-                u32::try_from(pair[1].as_u64()?).ok()?,
-            ));
-        }
+    /// Also `None` on `threads: 0` or on a (ε, µ) entry that
+    /// [`ScanParams::checked`] rejects — each would panic inside the
+    /// replayed run. A `step` field (written by earlier versions) is
+    /// ignored.
+    fn from_json(json: &Json) -> Option<UpdateCase> {
         let mut ops = Vec::new();
         for o in json.get("ops")?.as_arr()? {
             let trip = o.as_arr()?;
@@ -398,35 +337,43 @@ impl UpdateCase {
             if pair.len() != 2 {
                 return None;
             }
-            params.push((pair[0].as_f64()?, usize::try_from(pair[1].as_u64()?).ok()?));
+            let (eps, mu) = (pair[0].as_f64()?, usize::try_from(pair[1].as_u64()?).ok()?);
+            ScanParams::checked(eps, mu).ok()?;
+            params.push((eps, mu));
         }
         Some(UpdateCase {
             family: usize::try_from(json.get("family")?.as_u64()?).ok()?,
             graph_seed: json.get("graph_seed")?.as_u64()?,
             strategy: ExecutionStrategy::parse(json.get("strategy")?.as_str()?)?,
-            threads: usize::try_from(json.get("threads")?.as_u64()?).ok()?,
+            threads: usize::try_from(json.get("threads")?.as_u64()?)
+                .ok()
+                .filter(|&t| t >= 1)?,
             batch: json.get("batch")?.as_str()?.to_string(),
-            step: usize::try_from(json.get("step")?.as_u64()?).ok()?,
             num_vertices: usize::try_from(json.get("num_vertices")?.as_u64()?).ok()?,
-            edges,
+            edges: spine::edges_from_json(json.get("edges")?)?,
             ops,
             params,
             detail: json.get("detail")?.as_str()?.to_string(),
         })
     }
 
-    /// Corpus file name, unique per (seed, configuration).
-    pub fn corpus_file_name(&self) -> String {
+    fn corpus_file_name(&self) -> String {
         let strategy = self.strategy.to_string().replace(['(', ')'], "-");
         format!(
-            "case-{:016x}-{}-{}-{}-s{}-t{}.json",
+            "case-{:016x}-{}-{}-{}-t{}.json",
             self.graph_seed,
             self.family_name(),
             strategy,
             self.batch,
-            self.step,
             self.threads,
         )
+    }
+
+    fn reproduces(&self, repeats: usize) -> bool {
+        let g = self.graph();
+        let delta = self.delta();
+        (0..repeats.max(1))
+            .any(|_| divergence(&g, &delta, self.strategy, self.threads, &self.params).is_some())
     }
 }
 
@@ -434,13 +381,12 @@ impl fmt::Display for UpdateCase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "update-stress failure: family={} graph_seed={:#x} strategy={} threads={} batch={} step={}",
+            "update-stress failure: family={} graph_seed={:#x} strategy={} threads={} batch={}",
             self.family_name(),
             self.graph_seed,
             self.strategy,
             self.threads,
             self.batch,
-            self.step,
         )?;
         writeln!(f, "detail: {}", self.detail)?;
         let ops: Vec<String> = self
@@ -456,19 +402,6 @@ impl fmt::Display for UpdateCase {
         )?;
         write!(f, "corpus file: {}", self.corpus_file_name())
     }
-}
-
-/// Builds a [`GraphDelta`] from an op list, dropping ill-formed ops.
-fn delta_from_ops(ops: &[Op]) -> GraphDelta {
-    let mut delta = GraphDelta::new();
-    for &(ins, u, v) in ops {
-        let _ = if ins {
-            delta.insert(u, v)
-        } else {
-            delta.delete(u, v)
-        };
-    }
-    delta
 }
 
 /// The differential check itself: applies `delta` to `g` incrementally
@@ -523,284 +456,98 @@ pub fn divergence(
     None
 }
 
-/// Aggregate statistics of a green sweep.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UpdateStressStats {
-    /// (family, seed) graphs swept.
-    pub cases: u64,
-    /// Individual (strategy, batch, step) deltas checked differentially.
-    pub deltas_checked: u64,
-}
-
-/// Runs the full sweep. `Ok` carries coverage statistics; `Err` carries
-/// the first divergence, already shrunk and persisted.
-pub fn run_update_stress(cfg: &UpdateStressConfig) -> Result<UpdateStressStats, Box<UpdateCase>> {
-    let mut stats = UpdateStressStats::default();
-    for family in 0..ZOO.len() {
-        for si in 0..cfg.seeds_per_generator {
-            stats.deltas_checked += sweep_family_seed(cfg, family, si)?;
-            stats.cases += 1;
-        }
-    }
-    Ok(stats)
-}
-
-/// Derives the graph seed for `(family, seed index)` under a master
-/// seed — the unit a failure banner pins.
-pub fn graph_seed(master_seed: u64, family: usize, si: u64) -> u64 {
-    master_seed ^ ((family as u64) << 32) ^ si.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// Sweeps one (family, seed index): every strategy × batch spec, with
-/// `cfg.chain` sequential batches per combination, each checked against
-/// a from-scratch rebuild of the evolving graph.
-fn sweep_family_seed(
-    cfg: &UpdateStressConfig,
-    family: usize,
-    si: u64,
-) -> Result<u64, Box<UpdateCase>> {
-    let seed = graph_seed(cfg.master_seed, family, si);
-    let g0 = zoo_graph(family, seed);
-    let mut checked = 0u64;
-    for &strategy in &cfg.strategies {
-        for (bi, batch) in cfg.batches.iter().enumerate() {
-            let mut current = g0.clone();
-            for step in 0..cfg.chain.max(1) {
-                let size = batch.resolve(current.num_edges());
-                // The delta seed is independent of the strategy, so
-                // every strategy faces the same batches.
-                let delta_seed = seed ^ ((bi as u64) << 16) ^ ((step as u64) << 8) ^ 0xd17a;
-                let delta = random_delta(&current, size, delta_seed);
-                if delta.is_empty() {
-                    continue;
-                }
-                checked += 1;
-                if let Some(detail) =
-                    divergence(&current, &delta, strategy, cfg.threads, &cfg.params)
-                {
-                    return Err(build_case(
-                        cfg,
-                        family,
-                        seed,
-                        strategy,
-                        batch.label(),
-                        step,
-                        &current,
-                        &delta,
-                        detail,
-                    ));
-                }
-                current = delta
-                    .apply_to(&current)
-                    .expect("delta validated by divergence check")
-                    .graph;
-            }
-        }
-    }
-    Ok(checked)
-}
-
-/// Packages and shrinks a divergence: ddmin over the op list first, then
-/// over the base edge list with the surviving ops pinned.
-#[allow(clippy::too_many_arguments)]
-fn build_case(
-    cfg: &UpdateStressConfig,
-    family: usize,
-    seed: u64,
-    strategy: ExecutionStrategy,
-    batch: String,
-    step: usize,
-    g: &CsrGraph,
-    delta: &GraphDelta,
-    detail: String,
-) -> Box<UpdateCase> {
-    let num_vertices = g.num_vertices();
-    let mut edges: Vec<(VertexId, VertexId)> = g.undirected_edges().collect();
-    let mut ops: Vec<Op> = delta
-        .inserts()
-        .iter()
-        .map(|&(u, v)| (true, u, v))
-        .chain(delta.deletes().iter().map(|&(u, v)| (false, u, v)))
-        .collect();
-
-    let mut budget = cfg.shrink_budget;
-    let repeats = cfg.repeats.max(1);
-    let rebuild = |edges: &[(VertexId, VertexId)]| {
-        GraphBuilder::new()
-            .ensure_vertices(num_vertices)
-            .extend_edges(edges.iter().copied())
-            .build()
-    };
-    {
-        let fails_ops = |ops: &[Op]| {
-            let delta = delta_from_ops(ops);
-            !delta.is_empty()
-                && (0..repeats)
-                    .any(|_| divergence(g, &delta, strategy, cfg.threads, &cfg.params).is_some())
-        };
-        ops = shrink_items(ops, &mut budget, &fails_ops);
-    }
-    {
-        let ops = ops.clone();
-        let fails_edges = |edges: &[(VertexId, VertexId)]| {
-            let g = rebuild(edges);
-            let delta = delta_from_ops(&ops);
-            !delta.is_empty()
-                && (0..repeats)
-                    .any(|_| divergence(&g, &delta, strategy, cfg.threads, &cfg.params).is_some())
-        };
-        edges = shrink_items(edges, &mut budget, &fails_edges);
-    }
-
-    let case = Box::new(UpdateCase {
-        family,
-        graph_seed: seed,
-        strategy,
-        threads: cfg.threads,
-        batch,
-        step,
-        num_vertices,
-        edges,
-        ops,
-        params: cfg.params.clone(),
-        detail,
-    });
-    if let Some(dir) = &cfg.corpus_dir {
-        persist_case(dir, &case);
-    }
-    case
-}
-
-/// Writes one shrunk failure into the corpus directory. Best-effort:
-/// persistence failing must not mask the differential failure itself.
-fn persist_case(dir: &Path, case: &UpdateCase) {
-    let path = dir.join(case.corpus_file_name());
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(&path, case.to_json().to_pretty_string())
-    };
-    match write() {
-        Ok(()) => eprintln!(
-            "update-stress: failing case persisted to {}",
-            path.display()
-        ),
-        Err(e) => eprintln!("update-stress: could not persist {}: {e}", path.display()),
-    }
-}
-
-/// ddmin-style greedy minimization over any item list (ops or edges):
-/// drop chunks while the failure reproduces, halving the chunk size down
-/// to single items, within `budget` predicate evaluations.
-fn shrink_items<T: Clone>(
-    mut items: Vec<T>,
-    budget: &mut usize,
-    fails: &dyn Fn(&[T]) -> bool,
-) -> Vec<T> {
-    if items.is_empty() {
-        return items;
-    }
-    let mut chunk = (items.len() / 2).max(1);
-    loop {
-        let mut i = 0;
-        while i < items.len() && *budget > 0 {
-            let mut candidate = items.clone();
-            let end = (i + chunk).min(candidate.len());
-            candidate.drain(i..end);
-            *budget -= 1;
-            if fails(&candidate) {
-                items = candidate;
-            } else {
-                i = end;
-            }
-        }
-        if chunk == 1 || *budget == 0 {
-            break;
-        }
-        chunk = (chunk / 2).max(1);
-    }
-    items
-}
-
-/// Loads every corpus entry under `dir` and re-runs it. Returns
-/// `(case, still_failing)` pairs; a missing directory is an empty
-/// (clean) corpus, an unparseable file is a loud error.
-pub fn replay_update_corpus(dir: &Path, repeats: usize) -> Result<Vec<(UpdateCase, bool)>, String> {
-    if !dir.exists() {
-        return Ok(Vec::new());
-    }
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("reading corpus dir {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.extension().is_some_and(|x| x == "json")
-                && p.file_name()
-                    .is_some_and(|n| n.to_string_lossy().starts_with("case-"))
-        })
-        .collect();
-    entries.sort();
-    let mut out = Vec::new();
-    for path in entries {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let json = ppscan_obs::json::parse(&text)
-            .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-        let case = UpdateCase::from_json(&json)
-            .ok_or_else(|| format!("malformed corpus entry {}", path.display()))?;
-        let still_failing = case.reproduces(repeats);
-        out.push((case, still_failing));
-    }
-    Ok(out)
-}
-
-/// Runs the sweep like [`run_update_stress`], additionally producing a
-/// [`RunReport`] recording every (family, seed) case under
-/// `extra["cases"]`, with the shrunk failure inline when one diverges.
-pub fn run_update_stress_report(
-    cfg: &UpdateStressConfig,
-) -> (Result<UpdateStressStats, Box<UpdateCase>>, RunReport) {
-    let wall = Instant::now();
+/// Runs the full sweep through [`spine::sweep`]: every generator family ×
+/// 5 seeds, each unit checking every strategy × batch spec. `Ok` carries coverage statistics; `Err` carries the first
+/// divergence, already shrunk and persisted into `corpus_dir` (`None`
+/// disables persistence). The [`RunReport`] logs every (family, seed)
+/// unit under `extra["seeds"]` and comes back even on failure.
+pub fn run_update_stress(
+    corpus_dir: Option<&Path>,
+) -> (Result<SweepStats, Box<UpdateCase>>, RunReport) {
     let mut report = RunReport::new("update-stress");
-    report.push_extra("master_seed", Json::from_u64(cfg.master_seed));
-    report.push_extra(
-        "seeds_per_generator",
-        Json::from_u64(cfg.seeds_per_generator),
-    );
+    report.push_extra("master_seed", Json::from_u64(MASTER_SEED));
+    report.push_extra("seeds_per_generator", Json::from_u64(SEEDS_PER_GENERATOR));
     report.push_extra("generators", Json::from_u64(ZOO.len() as u64));
-    report.push_extra("threads", Json::from_u64(cfg.threads as u64));
-    let mut cases = Vec::new();
-    let mut stats = UpdateStressStats::default();
-    let mut failure = None;
-    'sweep: for (family, &family_name) in ZOO.iter().enumerate() {
-        for si in 0..cfg.seeds_per_generator {
-            let seed = graph_seed(cfg.master_seed, family, si);
-            match sweep_family_seed(cfg, family, si) {
-                Ok(checked) => {
-                    stats.cases += 1;
-                    stats.deltas_checked += checked;
-                    cases.push(Json::Obj(vec![
-                        ("family".to_string(), Json::Str(family_name.to_string())),
-                        ("seed".to_string(), Json::from_u64(seed)),
-                        ("status".to_string(), Json::Str("ok".to_string())),
-                        ("deltas_checked".to_string(), Json::from_u64(checked)),
-                    ]));
-                }
-                Err(case) => {
-                    cases.push(Json::Obj(vec![
-                        ("family".to_string(), Json::Str(family_name.to_string())),
-                        ("seed".to_string(), Json::from_u64(seed)),
-                        ("status".to_string(), Json::Str("failed".to_string())),
-                        ("case".to_string(), case.to_json()),
-                    ]));
-                    failure = Some(case);
-                    break 'sweep;
-                }
+    report.push_extra("threads", Json::from_u64(THREADS as u64));
+    let units = ZOO.iter().enumerate().flat_map(|(family, &name)| {
+        (0..SEEDS_PER_GENERATOR).map(move |si| {
+            let seed = graph_seed(family, si);
+            Unit {
+                seed,
+                fields: vec![("family".to_string(), Json::Str(name.to_string()))],
+                check: move |checked: &mut u64| check_unit(family, seed, checked),
+            }
+        })
+    });
+    spine::sweep(report, units, corpus_dir, false)
+}
+
+/// Derives the graph seed for `(family, seed index)` — the unit a
+/// failure banner pins.
+fn graph_seed(family: usize, si: u64) -> u64 {
+    MASTER_SEED ^ ((family as u64) << 32) ^ si.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Checks one (family, seed) unit: every strategy × batch spec, each
+/// delta against a from-scratch rebuild of the edited graph, counting
+/// each delta into `checked`.
+fn check_unit(family: usize, seed: u64, checked: &mut u64) -> Result<(), Box<UpdateCase>> {
+    let g = zoo_graph(family, seed);
+    for strategy in STRATEGIES {
+        for (bi, batch) in BATCHES.iter().enumerate() {
+            // The delta seed is independent of the strategy, so every
+            // strategy faces the same batches.
+            let delta_seed = seed ^ ((bi as u64) << 16) ^ 0xd17a;
+            let delta = random_delta(&g, batch.resolve(g.num_edges()), delta_seed);
+            if delta.is_empty() {
+                continue;
+            }
+            *checked += 1;
+            if let Some(detail) = divergence(&g, &delta, strategy, THREADS, &PARAMS) {
+                let ops = delta
+                    .inserts()
+                    .iter()
+                    .map(|&(u, v)| (true, u, v))
+                    .chain(delta.deletes().iter().map(|&(u, v)| (false, u, v)))
+                    .collect();
+                return Err(shrunk(UpdateCase {
+                    family,
+                    graph_seed: seed,
+                    strategy,
+                    threads: THREADS,
+                    batch: batch.label(),
+                    num_vertices: g.num_vertices(),
+                    edges: g.undirected_edges().collect(),
+                    ops,
+                    params: PARAMS.to_vec(),
+                    detail,
+                }));
             }
         }
     }
-    report.push_extra("cases", Json::Arr(cases));
-    report.push_extra("deltas_checked", Json::from_u64(stats.deltas_checked));
-    report.wall_nanos = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (failure.map_or(Ok(stats), Err), report)
+    Ok(())
+}
+
+/// Shrinks a divergence: ddmin over the op list first, then over the
+/// base edge list with the surviving ops pinned, within one budget.
+fn shrunk(mut case: UpdateCase) -> Box<UpdateCase> {
+    let mut budget = SHRINK_BUDGET;
+    // An empty batch is not a failing update.
+    case.ops = spine::shrink(case.ops.clone(), &mut budget, &|ops| {
+        let candidate = UpdateCase {
+            ops: ops.to_vec(),
+            ..case.clone()
+        };
+        !ops.is_empty() && candidate.reproduces(REPEATS)
+    });
+    case.edges = spine::shrink(case.edges.clone(), &mut budget, &|edges| {
+        let candidate = UpdateCase {
+            edges: edges.to_vec(),
+            ..case.clone()
+        };
+        candidate.reproduces(REPEATS)
+    });
+    Box::new(case)
 }
 
 #[cfg(test)]
@@ -812,27 +559,29 @@ mod tests {
     /// against from-scratch at every layer.
     #[test]
     fn differential_sweep_is_clean() {
-        let cfg = UpdateStressConfig {
-            corpus_dir: None,
-            ..UpdateStressConfig::default()
-        };
-        match run_update_stress(&cfg) {
-            Ok(stats) => {
-                assert_eq!(stats.cases, ZOO.len() as u64 * cfg.seeds_per_generator);
-                assert!(
-                    stats.deltas_checked
-                        >= stats.cases * (cfg.strategies.len() * cfg.batches.len()) as u64 / 2,
-                    "suspiciously few deltas checked: {stats:?}"
-                );
+        let (result, report) = run_update_stress(None);
+        let stats = result.unwrap_or_else(|case| panic!("{case}"));
+        // 11 families × 5 seeds, each checking 3 strategies × 3 batches
+        // (no batch comes out empty).
+        assert_eq!(
+            stats,
+            SweepStats {
+                cases: 55,
+                checked: 495
             }
-            Err(case) => panic!("{case}"),
-        }
+        );
+        let extra = |k: &str| report.extra.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        let seeds = extra("seeds").unwrap().as_arr().unwrap();
+        assert_eq!(seeds.len(), 55);
+        assert_eq!(seeds[0].get("family").unwrap().as_str(), Some(ZOO[0]));
+        assert_eq!(seeds[0].get("checked").unwrap().as_u64(), Some(9));
+        assert_eq!(extra("checked").unwrap().as_u64(), Some(495));
     }
 
     #[test]
     fn replay_update_corpus_is_clean() {
-        let dir = default_update_corpus_dir();
-        let replayed = replay_update_corpus(&dir, 3).expect("corpus must parse");
+        let dir = spine::corpus_dir("update-corpus");
+        let replayed = spine::replay_corpus::<UpdateCase>(&dir, 3).expect("corpus must parse");
         let failing: Vec<String> = replayed
             .iter()
             .filter(|(_, still)| *still)
@@ -845,33 +594,79 @@ mod tests {
         );
     }
 
-    #[test]
-    fn case_json_roundtrips() {
-        let case = UpdateCase {
+    fn sample_case() -> UpdateCase {
+        UpdateCase {
             family: 4,
             graph_seed: 0xfeed_beef,
             strategy: ExecutionStrategy::AdversarialSeeded { seed: 7 },
             threads: 3,
             batch: "fixed-16".to_string(),
-            step: 1,
             num_vertices: 9,
             edges: vec![(0, 1), (1, 2), (2, 8)],
             ops: vec![(true, 0, 8), (false, 1, 2)],
             params: vec![(0.4, 2), (0.65, 3)],
             detail: "synthetic".to_string(),
-        };
-        let text = case.to_json().to_pretty_string();
-        let parsed = ppscan_obs::json::parse(&text).expect("valid json");
-        assert_eq!(UpdateCase::from_json(&parsed), Some(case));
+        }
     }
 
     #[test]
-    fn shrinker_minimizes_to_the_culprit_op() {
-        // Synthetic predicate: fails iff the op (+, 0, 5) is present.
-        let ops: Vec<Op> = (0..12).map(|i| (i % 2 == 0, i, i + 5)).collect();
-        let mut budget = 200;
-        let shrunk = shrink_items(ops, &mut budget, &|ops: &[Op]| ops.contains(&(true, 0, 5)));
-        assert_eq!(shrunk, vec![(true, 0, 5)]);
+    fn case_json_roundtrips() {
+        let case = sample_case();
+        let text = case.to_json().to_pretty_string();
+        let parsed = ppscan_obs::json::parse(&text).expect("valid json");
+        assert_eq!(UpdateCase::from_json(&parsed), Some(case.clone()));
+        // Entries written while the sweep still chained batches carry a
+        // `step` field; it is ignored.
+        let Json::Obj(mut fields) = parsed else {
+            unreachable!("a case serializes to an object")
+        };
+        fields.push(("step".to_string(), Json::from_u64(0)));
+        assert_eq!(UpdateCase::from_json(&Json::Obj(fields)), Some(case));
+    }
+
+    #[test]
+    fn healthy_case_replays_clean() {
+        // A persisted case whose delta no longer diverges loads back and
+        // reads as not reproducing.
+        let dir = spine::corpus_dir("update-corpus-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let case = sample_case();
+        spine::persist(&dir, &case);
+        let replayed = spine::replay_corpus::<UpdateCase>(&dir, 2).unwrap();
+        assert_eq!(replayed, vec![(case, false)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replay_rejects_out_of_range_entries() {
+        // `threads: 0`, µ = 0 and ε = 1.5 would each panic inside the
+        // replayed run; replay reports the entry as malformed.
+        let dir = spine::corpus_dir("update-corpus-bad-test");
+        let grid = |eps, mu| Json::Arr(vec![Json::Arr(vec![Json::Num(eps), Json::from_u64(mu)])]);
+        for (key, value) in [
+            ("threads", Json::from_u64(0)),
+            ("params", grid(0.4, 0)),
+            ("params", grid(1.5, 2)),
+        ] {
+            let Json::Obj(fields) = sample_case().to_json() else {
+                unreachable!("a case serializes to an object")
+            };
+            let edited: Vec<(String, Json)> = fields
+                .into_iter()
+                .map(|(k, v)| if k == key { (k, value.clone()) } else { (k, v) })
+                .collect();
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("case-edited.json");
+            std::fs::write(&path, Json::Obj(edited).to_pretty_string()).unwrap();
+            let err = spine::replay_corpus::<UpdateCase>(&dir, 1).unwrap_err();
+            assert_eq!(
+                err,
+                format!("malformed corpus entry {}", path.display()),
+                "{key}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
