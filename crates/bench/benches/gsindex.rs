@@ -11,13 +11,14 @@ use ppscan_core::ppscan::{ppscan, PpScanConfig};
 use ppscan_graph::gen;
 use ppscan_gsindex::GsIndex;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn main() {
     let mut table = Table::new(&["benchmark", "case", "best"]);
 
     for n in [2_000usize, 10_000] {
-        let g = gen::roll(n, 16, 3);
-        let (d, _) = best_of(|| black_box(GsIndex::build(&g, 2)));
+        let g = Arc::new(gen::roll(n, 16, 3));
+        let (d, _) = best_of(|| black_box(GsIndex::build(Arc::clone(&g), 2)));
         table.row(vec![
             "gsindex/build".into(),
             format!("roll-d16 n={n}"),
@@ -25,8 +26,8 @@ fn main() {
         ]);
     }
 
-    let g = gen::roll(10_000, 16, 3);
-    let index = GsIndex::build(&g, 2);
+    let g = Arc::new(gen::roll(10_000, 16, 3));
+    let index = GsIndex::build(Arc::clone(&g), 2);
     let cfg = PpScanConfig::with_threads(2);
     for eps10 in [2u32, 5, 8] {
         let p = ScanParams::new(eps10 as f64 / 10.0, 5);

@@ -13,6 +13,7 @@
 use ppscan_bench::{best_of, secs, HarnessArgs, Table};
 use ppscan_core::ppscan::{ppscan, PpScanConfig};
 use ppscan_gsindex::GsIndex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -34,8 +35,9 @@ fn main() {
 
     let mut report = ppscan_bench::figure_report("parameter_exploration", &args);
     for (d, g) in ppscan_bench::load_datasets(&args) {
+        let g = Arc::new(g);
         let t0 = Instant::now();
-        let index = GsIndex::build(&g, threads);
+        let index = GsIndex::build(Arc::clone(&g), threads);
         let build = t0.elapsed();
 
         let mut idx_total = Duration::ZERO;

@@ -1,7 +1,7 @@
 //! Incremental index maintenance vs from-scratch rebuild — the
 //! streaming-update benchmark backing `crates/update`. Each cell applies
 //! one [`GraphDelta`] batch to a prebuilt GS*-Index over ROLL-d40 twice:
-//! through [`OwnedGsIndex::apply_delta_with`] (localized recomputation)
+//! through [`GsIndex::apply_delta_with`] (localized recomputation)
 //! and by splicing the graph then rebuilding the index from scratch —
 //! both sides pay the CSR splice, so the comparison isolates the index
 //! work. The batch sizes sweep the streaming regime — single edits,
@@ -36,7 +36,7 @@ use ppscan_core::params::ScanParams;
 use ppscan_graph::datasets::roll_suite;
 use ppscan_graph::delta::GraphDelta;
 use ppscan_graph::CsrGraph;
-use ppscan_gsindex::OwnedGsIndex;
+use ppscan_gsindex::GsIndex;
 use ppscan_obs::json::Json;
 use ppscan_obs::report::PhaseMetrics;
 use ppscan_obs::{Collector, RunReport};
@@ -106,7 +106,7 @@ fn main() {
     );
     // The base index is what a live server would already hold; building
     // it is load, not measurement.
-    let base = OwnedGsIndex::build(Arc::clone(&graph), *args.threads.iter().max().unwrap());
+    let base = GsIndex::build(Arc::clone(&graph), *args.threads.iter().max().unwrap());
 
     type DeltaDraw = fn(&CsrGraph, usize, u64) -> GraphDelta;
     let workloads: [(&str, DeltaDraw); 2] = [("hot", hot_delta), ("uniform", random_delta)];
@@ -145,7 +145,7 @@ fn main() {
                 // keeps the comparison about the index work.
                 let (scratch, _) = best_of_n(args.runs, || {
                     let applied = delta.apply_to(&graph).expect("valid delta");
-                    OwnedGsIndex::build(Arc::new(applied.graph), threads)
+                    GsIndex::build(Arc::new(applied.graph), threads)
                 });
 
                 // Phase capture: one cluster repair over the same batch.

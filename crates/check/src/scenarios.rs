@@ -15,19 +15,16 @@
 //!   counting/consolidation loop of `check_core_vertex` (§4.2.2's
 //!   consolidation window; Theorem 4.1's pending-slot invariant),
 //! * canonical-labels agreement with the sequential union-find,
-//! * the serving path's snapshot-cell pin/publish/retire/reclaim
-//!   protocol (no reclamation under an active pin),
 //! * a bounded 2-thread run of the *real* pipeline under
 //!   [`ExecutionStrategy`](ppscan_sched::ExecutionStrategy)`::Modeled`
 //!   (oracle-permuted dispatch order; sequential-equivalent output).
 //!
-//! Three additional entries carry *intentionally seeded* bugs — a
+//! Two additional entries carry *intentionally seeded* bugs — a
 //! check-then-store union (what the `Relaxed` root re-check would
-//! license if the CAS's atomic re-read were removed), a settle loop
+//! license if the CAS's atomic re-read were removed) and a settle loop
 //! missing its recompute arm (the pre-hardening consolidation-window
-//! bug), and a snapshot cell whose epoch bump moved before the pointer
-//! swap (reclaims under a pinned reader) — and are expected to produce
-//! violations; tests assert the checker catches all three.
+//! bug) — and are expected to produce violations; tests assert the
+//! checker catches both.
 
 use crate::atomic::{ModelAtomicU32, ModelAtomicU8};
 use crate::runtime::{explore, fingerprint, Config, Outcome, RunSpec};
@@ -91,12 +88,6 @@ pub fn catalog() -> Vec<Scenario> {
             run: canonical_labels_agreement,
         },
         Scenario {
-            name: "snapshot-pin-publish",
-            what: "snapshot cell pin/publish/retire; no reclaim under a pin",
-            expect_violation: false,
-            run: snapshot_pin_publish,
-        },
-        Scenario {
             name: "pipeline-modeled-2t",
             what: "real ppscan() under Modeled, 2 threads; oracle-seed sweep",
             expect_violation: false,
@@ -113,12 +104,6 @@ pub fn catalog() -> Vec<Scenario> {
             what: "SEEDED BUG: settle loop without recompute arm undercounts",
             expect_violation: true,
             run: seeded_settle_skip_bug,
-        },
-        Scenario {
-            name: "seeded-epoch-bump-elision",
-            what: "SEEDED BUG: epoch bump before swap frees under a pinned reader",
-            expect_violation: true,
-            run: seeded_epoch_bump_elision,
         },
     ]
 }
@@ -484,149 +469,6 @@ pub fn seeded_settle_skip_bug(cfg: &Config) -> Outcome {
     })
 }
 
-/// Model replica of the serving path's `SnapshotCell` (`ppscan-serve`),
-/// value identities standing in for heap pointers: a `ptr` cell holding
-/// the current value id, the epoch counter, one registered reader slot,
-/// and one "freed" flag per value standing in for reclamation. The
-/// writer-side retired list stays writer-local (in the real code it is
-/// mutex-protected and this scenario has a single writer), so every
-/// cross-thread interaction of the protocol — pin vs swap vs bump vs
-/// reclaim scan — goes through model atomics and is explored
-/// exhaustively.
-struct ModelSnapshot {
-    /// Current value id (ids are 1-based; 0 is never a value).
-    ptr: ModelAtomicU32,
-    /// Epoch counter, starts at 1 as in the real cell.
-    epoch: ModelAtomicU32,
-    /// The single reader's pin slot (0 = idle).
-    slot: ModelAtomicU32,
-    /// Reclamation flags, indexed by `value_id - 1`; 1 = dropped.
-    freed: [ModelAtomicU32; 2],
-}
-
-impl ModelSnapshot {
-    fn new(initial: u32) -> Self {
-        ModelSnapshot {
-            ptr: AtomicCellU32::new(initial),
-            epoch: AtomicCellU32::new(1),
-            slot: AtomicCellU32::new(0),
-            freed: [AtomicCellU32::new(0), AtomicCellU32::new(0)],
-        }
-    }
-
-    /// `fetch_add(1)` over the model substrate (a CAS loop; the epoch
-    /// has a single writer here, so it succeeds first try on every
-    /// schedule — one RMW event, like the real `fetch_add`).
-    fn bump_epoch(&self) -> u32 {
-        loop {
-            let cur = self.epoch.load(Ordering::SeqCst);
-            if self
-                .epoch
-                .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return cur;
-            }
-        }
-    }
-
-    /// `SnapshotCell::publish` + `try_reclaim`: swap the pointer, bump
-    /// the epoch (the pre-bump value tags the retirement), then scan the
-    /// reader slot and drop the old value unless a pin `<= E` protects
-    /// it. `bump_before_swap` seeds the ordering bug: the post-swap bump
-    /// elided and replaced by a pre-swap bump, which lets a reader pin
-    /// `E+1` and still load the *old* value — the reclaim scan then sees
-    /// the pin as "new enough" and frees under the reader. Returns 1 if
-    /// the old value was reclaimed.
-    fn publish(&self, old: u32, new: u32, bump_before_swap: bool) -> u64 {
-        let retired_epoch;
-        if bump_before_swap {
-            retired_epoch = self.bump_epoch();
-            let _ = self
-                .ptr
-                .compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst);
-        } else {
-            let _ = self
-                .ptr
-                .compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst);
-            retired_epoch = self.bump_epoch();
-        }
-        let pin = self.slot.load(Ordering::SeqCst);
-        if pin != 0 && pin <= retired_epoch {
-            0
-        } else {
-            self.freed[(old - 1) as usize].store(1, Ordering::SeqCst);
-            1
-        }
-    }
-
-    /// `Reader::pin` + one use + unpin: load the epoch, store it into
-    /// the slot, load the pointer, then "dereference" by reading the
-    /// pinned value's freed flag (1 = use-after-free). Returns the
-    /// value id in the low byte and the freed flag in the next.
-    fn pin_read_unpin(&self) -> u64 {
-        let e = self.epoch.load(Ordering::SeqCst);
-        self.slot.store(e, Ordering::SeqCst);
-        let v = self.ptr.load(Ordering::SeqCst);
-        let f = self.freed[(v - 1) as usize].load(Ordering::SeqCst);
-        self.slot.store(0, Ordering::SeqCst);
-        u64::from(v) | (u64::from(f) << 8)
-    }
-}
-
-fn snapshot_scenario(cfg: &Config, bump_before_swap: bool) -> Outcome {
-    explore(cfg, || {
-        let cell = Arc::new(ModelSnapshot::new(1));
-        let (w, r, c) = (Arc::clone(&cell), Arc::clone(&cell), cell);
-        RunSpec {
-            threads: vec![
-                Box::new(move || w.publish(1, 2, bump_before_swap)),
-                Box::new(move || r.pin_read_unpin()),
-            ],
-            check: Box::new(move |results| {
-                let v = results[1] & 0xff;
-                let freed_while_pinned = (results[1] >> 8) & 0xff;
-                if freed_while_pinned != 0 {
-                    return Err(format!(
-                        "use-after-free: reader pinned value {v} but the \
-                         writer reclaimed it mid-read"
-                    ));
-                }
-                if v != 1 && v != 2 {
-                    return Err(format!("reader loaded value id {v}"));
-                }
-                if c.ptr.load(Ordering::SeqCst) != 2 {
-                    return Err("publish did not install the new value".to_string());
-                }
-                if c.freed[1].load(Ordering::SeqCst) != 0 {
-                    return Err("current value reclaimed".to_string());
-                }
-                Ok(fingerprint(&[
-                    v,
-                    results[0],
-                    u64::from(c.freed[0].load(Ordering::SeqCst)),
-                ]))
-            }),
-        }
-    })
-}
-
-/// The pin/publish/retire/reclaim protocol of the serving path's
-/// snapshot cell, exhaustively: a reader must never observe its pinned
-/// value reclaimed, whatever instant the pin lands relative to the
-/// writer's swap → bump → scan sequence.
-pub fn snapshot_pin_publish(cfg: &Config) -> Outcome {
-    snapshot_scenario(cfg, false)
-}
-
-/// Detection demo: the epoch bump moved before the pointer swap. A
-/// reader that pins between bump and swap records epoch `E+1` yet loads
-/// the old value; the reclaim scan treats the pin as post-swap and frees
-/// the value under the reader. Expected outcome: [`Outcome::Violation`].
-pub fn seeded_epoch_bump_elision(cfg: &Config) -> Outcome {
-    snapshot_scenario(cfg, true)
-}
-
 /// Mixes `seed` and per-dispatch `call` into a task-order permutation
 /// (splitmix64-style finalizer): a rotation of submission order,
 /// reversed on odd draws.
@@ -865,44 +707,6 @@ mod tests {
             both.schedules + both.pruned < sleep.schedules + sleep.pruned,
             "DPOR must explore strictly fewer runs than sleep sets alone"
         );
-    }
-
-    /// The correct snapshot-cell protocol never reclaims under a pin,
-    /// across every interleaving, and some schedule does reclaim the old
-    /// value (the scenario exercises the success path too).
-    #[test]
-    fn snapshot_pin_publish_passes_and_reclaims_on_some_schedule() {
-        match snapshot_pin_publish(&cfg_budget(2_000_000)) {
-            Outcome::Pass(s) => {
-                assert!(s.exhausted);
-                assert!(
-                    s.final_states.len() > 1,
-                    "expected schedules that do and don't reclaim the old value"
-                );
-            }
-            Outcome::Violation { message, .. } => panic!("violation: {message}"),
-        }
-    }
-
-    /// The seeded bump-before-swap ordering must be caught, by both
-    /// explorers (the scenario exists to pin the DESIGN §9.3 argument
-    /// that the bump's position is load-bearing).
-    #[test]
-    fn seeded_epoch_bump_elision_is_detected() {
-        for dpor in [false, true] {
-            let cfg = Config {
-                dpor,
-                ..cfg_budget(2_000_000)
-            };
-            match seeded_epoch_bump_elision(&cfg) {
-                Outcome::Violation { message, .. } => {
-                    assert!(message.contains("use-after-free"), "{message}");
-                }
-                Outcome::Pass(s) => {
-                    panic!("seeded bug not detected in {} schedules", s.schedules)
-                }
-            }
-        }
     }
 
     /// The real pipeline under `Modeled` with permuted dispatch orders

@@ -229,7 +229,6 @@ pub fn ppscan_ablation(
     if config.observe {
         report.phases = RunReport::phases_from(&collector.snapshot());
         report.counters = report_glue::counters_from(scope.snapshot());
-        report_glue::push_ring_dropped(&mut report, &collector);
     } else {
         report.phases = report_glue::stage_phases(&timings);
     }

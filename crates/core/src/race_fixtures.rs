@@ -12,24 +12,12 @@
 //! makes the dispatch contract (sibling tasks are unordered) checkable
 //! even on a physically sequential execution.
 //!
-//! Detection granularity differs by bug shape, and the fixtures are
-//! honest about it:
-//!
-//! * [`claim_fixture`] (the PR-3 check-then-store union discipline) and
-//!   [`publish_fixture`] (the settle-skip / publish-without-acquire
-//!   discipline) race *between sibling tasks of one dispatch* — the
-//!   detector flags them on every run, under `Parallel` and `Modeled`
-//!   alike, because the missing edge is missing from the recorded
-//!   happens-before relation regardless of physical timing.
-//! * [`snapshot_fixture`] (the serving path's snapshot cell with its
-//!   epoch bump moved before the pointer swap) races *inside* the
-//!   pin/publish window. A serial trace genuinely orders the accesses
-//!   (the reclaim scan's acquire of the reader's slot store is a real
-//!   edge on that trace), so `Modeled` runs are clean by construction;
-//!   the race manifests — and is flagged — only under real `Parallel`
-//!   interleaving, within a bounded retry budget. The matching
-//!   `ppscan-check` scenario (`seeded-epoch-bump-elision`) covers the
-//!   same bug exhaustively on the model side.
+//! Both fixtures — [`claim_fixture`] (the check-then-store union
+//! discipline) and [`publish_fixture`] (the settle-skip /
+//! publish-without-acquire discipline) — race *between sibling tasks of
+//! one dispatch*: the detector flags them under `Parallel` and
+//! `Modeled` alike, because the missing edge is missing from the
+//! recorded happens-before relation regardless of physical timing.
 
 use ppscan_obs::race::{DetectionSession, RaceReport, ShadowCell};
 use ppscan_sched::{ExecutionStrategy, WorkerPool};
@@ -146,109 +134,6 @@ pub fn publish_fixture(strategy: ExecutionStrategy, buggy: bool) -> Vec<RaceRepo
     )
 }
 
-/// `fetch_add(1)` on the traced substrate (single writer here, so the
-/// CAS succeeds first try; one RMW edge like the real `fetch_add`).
-fn bump(epoch: &TracedAtomicU32) -> u32 {
-    loop {
-        let cur = epoch.load(Ordering::SeqCst);
-        if epoch
-            .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            return cur;
-        }
-    }
-}
-
-/// The serving path's snapshot-cell protocol on the traced substrate:
-/// a writer publishes value 2 over value 1 and reclaims, a reader pins
-/// and dereferences. "Heap values" are shadow cells; reclamation is a
-/// shadow *write* (the drop), dereferencing a shadow *read* — so
-/// freeing under an active pin is a write racing the pinned reader's
-/// read.
-///
-/// * `buggy = false`: swap, then bump — the real protocol. Clean.
-/// * `buggy = true`: the post-swap bump is elided and replaced by a
-///   pre-swap bump. A reader pinning in the bump→swap window records
-///   epoch `E+1` yet loads the old value; the reclaim scan reads the
-///   pin as post-swap and frees the value under the reader.
-///
-/// The racy window is narrow, so the fixture aligns the two tasks with
-/// a pair of *untraced* rendezvous gates (window-open / pin-done):
-/// plain `AtomicU32`s the detector never sees, used only to shape
-/// physical timing. (Traced gates would defeat the fixture a different
-/// way: every traced access serializes on detector state, so a traced
-/// spin-wait starves the other task's traced operations and the run
-/// degenerates to quasi-serial. Untraced edges can only make the
-/// detector *over*-report relative to real happens-before, never hide
-/// a race, and the correct variant is ordered by its own traced edges
-/// alone — see `snapshot_fixture_correct_is_clean`.) The reader also
-/// dwells briefly between dereferencing and unpinning so the reclaim
-/// scan tends to observe the live pin rather than the (edge-carrying)
-/// unpin store.
-pub fn snapshot_fixture(strategy: ExecutionStrategy, buggy: bool) -> Vec<RaceReport> {
-    /// Gate-wait deadline; also the timeout that keeps serial
-    /// executions (e.g. `Modeled`, or both tasks landing on one
-    /// worker) moving. Long enough to ride out worker wake-up latency.
-    const GATE_WAIT: std::time::Duration = std::time::Duration::from_millis(10);
-    /// Reader dwell (in spin iterations) between dereference and
-    /// unpin: must outlast the writer's post-rendezvous swap + scan,
-    /// each of which serializes on detector state (~tens of µs).
-    const DWELL_SPIN: usize = 200_000;
-    let ptr: TracedAtomicU32 = AtomicCellU32::new(1);
-    let epoch: TracedAtomicU32 = AtomicCellU32::new(1);
-    let slot: TracedAtomicU32 = AtomicCellU32::new(0);
-    let window_open = std::sync::atomic::AtomicU32::new(0);
-    let pin_done = std::sync::atomic::AtomicU32::new(0);
-    let values: [ShadowCell<u32>; 2] = [
-        ShadowCell::new("snapshot-value", 10),
-        ShadowCell::new("snapshot-value", 20),
-    ];
-    let await_gate = |gate: &std::sync::atomic::AtomicU32| {
-        let start = std::time::Instant::now();
-        while gate.load(Ordering::Relaxed) != 1 && start.elapsed() < GATE_WAIT {
-            std::hint::spin_loop();
-        }
-    };
-    run_pair(
-        strategy,
-        || {
-            // Writer: publish value 2, then try_reclaim.
-            let retired_epoch = if buggy {
-                let e = bump(&epoch);
-                window_open.store(1, Ordering::Relaxed);
-                await_gate(&pin_done);
-                let _ = ptr.compare_exchange(1, 2, Ordering::SeqCst, Ordering::SeqCst);
-                e
-            } else {
-                let _ = ptr.compare_exchange(1, 2, Ordering::SeqCst, Ordering::SeqCst);
-                let e = bump(&epoch);
-                window_open.store(1, Ordering::Relaxed);
-                await_gate(&pin_done);
-                e
-            };
-            let pin = slot.load(Ordering::SeqCst);
-            if !(pin != 0 && pin <= retired_epoch) {
-                // Reclaim: drop the old value.
-                values[0].set(0xdead, "snapshot_fixture::drop");
-            }
-        },
-        || {
-            // Reader: pin, dereference, unpin.
-            await_gate(&window_open);
-            let e = epoch.load(Ordering::SeqCst);
-            slot.store(e, Ordering::SeqCst);
-            let v = ptr.load(Ordering::SeqCst);
-            let _ = values[(v - 1) as usize].get("snapshot_fixture::deref");
-            pin_done.store(1, Ordering::Relaxed);
-            for _ in 0..DWELL_SPIN {
-                std::hint::spin_loop();
-            }
-            slot.store(0, Ordering::SeqCst);
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,38 +193,6 @@ mod tests {
         assert!(publish_fixture(MODELED, false).is_empty());
         for _ in 0..20 {
             let races = publish_fixture(PARALLEL, false);
-            assert!(races.is_empty(), "false positive: {races:?}");
-        }
-    }
-
-    #[test]
-    fn snapshot_bug_flagged_under_parallel() {
-        let races = detect_within(200, || snapshot_fixture(PARALLEL, true));
-        assert!(
-            !races.is_empty(),
-            "epoch-bump-elision not flagged within the retry budget"
-        );
-        assert!(races.iter().all(|r| r.location == "snapshot-value"));
-    }
-
-    /// Documents the instrumentation boundary: on a serial trace the
-    /// buggy ordering never produces a racy access pair (whichever task
-    /// runs first, either the reclaim scan's acquire of the reader's
-    /// unpin store is a real happens-before edge, or the reader
-    /// dereferences the already-published new value), so `Modeled` runs
-    /// are clean even with the bug present. The model checker's
-    /// `seeded-epoch-bump-elision` scenario owns this bug's exhaustive
-    /// coverage; the detector owns its real-interleaving coverage.
-    #[test]
-    fn snapshot_bug_invisible_to_serial_traces() {
-        assert!(snapshot_fixture(MODELED, true).is_empty());
-    }
-
-    #[test]
-    fn snapshot_fixture_correct_is_clean() {
-        assert!(snapshot_fixture(MODELED, false).is_empty());
-        for _ in 0..50 {
-            let races = snapshot_fixture(PARALLEL, false);
             assert!(races.is_empty(), "false positive: {races:?}");
         }
     }

@@ -110,20 +110,6 @@ pub fn counters_from(snapshot: ppscan_intersect::counters::CounterSnapshot) -> K
     }
 }
 
-/// Surfaces the collector's span-ring eviction count as the
-/// `span_ring_dropped` report extra when non-zero. Aggregation in the
-/// collector is lossless, so this only flags lost *debug-ring* history —
-/// but a cap that was hit belongs in the record ("no silent caps").
-pub fn push_ring_dropped(report: &mut RunReport, collector: &Collector) {
-    let dropped = collector.dropped_events();
-    if dropped > 0 {
-        report.push_extra(
-            "span_ring_dropped",
-            ppscan_obs::json::Json::from_u64(dropped),
-        );
-    }
-}
-
 /// Runs `f` under a fresh span [`Collector`] and kernel [`CounterScope`]
 /// (both propagate to pool workers automatically) and returns its result
 /// together with a populated [`RunReport`]: wall time, span-sourced
@@ -148,7 +134,6 @@ pub fn instrument<R>(
     report.wall_nanos = nanos(wall);
     report.phases = RunReport::phases_from(&collector.snapshot());
     report.counters = counters_from(scope.snapshot());
-    push_ring_dropped(&mut report, &collector);
     (out, report)
 }
 

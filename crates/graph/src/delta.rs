@@ -25,7 +25,6 @@
 
 use crate::csr::{CsrGraph, VertexId};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Why a staged update batch was rejected. Every constructor returns
 /// `Err` rather than panicking: deltas arrive from untrusted clients
@@ -298,136 +297,6 @@ impl AppliedDelta {
     }
 }
 
-/// A mutable overlay over an immutable base [`CsrGraph`]: updates are
-/// staged as a pending [`GraphDelta`] and the overlay answers
-/// degree/adjacency queries through it; once the pending batch grows
-/// past `compact_threshold` staged ops, [`stage`](OverlayGraph::stage)
-/// compacts the overlay back to a fresh CSR (one splice instead of one
-/// per op). This is the staging structure behind the serve REPL's
-/// `insert`/`delete`/`flush` commands.
-#[derive(Debug, Clone)]
-pub struct OverlayGraph {
-    base: Arc<CsrGraph>,
-    pending: GraphDelta,
-    compact_threshold: usize,
-}
-
-impl OverlayGraph {
-    /// Wraps `base` with an empty pending batch. `compact_threshold`
-    /// bounds how many staged ops accumulate before the overlay is
-    /// folded back into a CSR (0 means compact on every stage).
-    pub fn new(base: Arc<CsrGraph>, compact_threshold: usize) -> Self {
-        Self {
-            base,
-            pending: GraphDelta::new(),
-            compact_threshold,
-        }
-    }
-
-    /// The base graph the overlay reads through.
-    pub fn base(&self) -> &Arc<CsrGraph> {
-        &self.base
-    }
-
-    /// Ops staged but not yet compacted.
-    pub fn pending(&self) -> &GraphDelta {
-        &self.pending
-    }
-
-    /// Stages one insertion against the *effective* graph (base plus
-    /// pending). Compacts first when the pending batch is full.
-    pub fn stage_insert(&mut self, u: VertexId, v: VertexId) -> Result<(), DeltaError> {
-        self.stage(u, v, true)
-    }
-
-    /// Stages one deletion (see [`stage_insert`](Self::stage_insert)).
-    pub fn stage_delete(&mut self, u: VertexId, v: VertexId) -> Result<(), DeltaError> {
-        self.stage(u, v, false)
-    }
-
-    fn stage(&mut self, u: VertexId, v: VertexId, ins: bool) -> Result<(), DeltaError> {
-        let (u, v) = GraphDelta::normalize(u, v)?;
-        let n = self.base.num_vertices();
-        if u as usize >= n || v as usize >= n {
-            let bad = if u as usize >= n { u } else { v };
-            return Err(DeltaError::OutOfRange {
-                u: bad,
-                num_vertices: n,
-            });
-        }
-        if self.pending.len() >= self.compact_threshold {
-            self.compact();
-        }
-        let dup = self
-            .pending
-            .inserts
-            .iter()
-            .chain(self.pending.deletes.iter())
-            .any(|&p| p == (u, v));
-        if dup {
-            return Err(DeltaError::Duplicate { u, v });
-        }
-        if ins {
-            self.pending.inserts.push((u, v));
-        } else {
-            self.pending.deletes.push((u, v));
-        }
-        Ok(())
-    }
-
-    /// Whether the effective graph (base plus pending) has edge `(u, v)`.
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        let Ok((u, v)) = GraphDelta::normalize(u, v) else {
-            return false;
-        };
-        if self.pending.inserts.contains(&(u, v)) {
-            return true;
-        }
-        if self.pending.deletes.contains(&(u, v)) {
-            return false;
-        }
-        self.base.has_edge(u, v)
-    }
-
-    /// Degree of `u` in the effective graph.
-    pub fn degree(&self, u: VertexId) -> usize {
-        let mut d = self.base.degree(u) as isize;
-        for &(a, b) in &self.pending.inserts {
-            d += (a == u || b == u) as isize;
-        }
-        for &(a, b) in &self.pending.deletes {
-            d -= (a == u || b == u) as isize;
-        }
-        d.max(0) as usize
-    }
-
-    /// Vertex count (fixed across updates).
-    pub fn num_vertices(&self) -> usize {
-        self.base.num_vertices()
-    }
-
-    /// Splices pending ops into a fresh base CSR. Infallible: staged
-    /// ops were validated at stage time.
-    pub fn compact(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let applied = self
-            .pending
-            .apply_to(&self.base)
-            .expect("staged ops were validated at stage time");
-        self.base = Arc::new(applied.graph);
-        self.pending = GraphDelta::new();
-    }
-
-    /// Drains the pending batch without compacting, for callers that
-    /// want to apply it elsewhere (the serve `flush` path hands it to
-    /// the server's update endpoint instead of splicing locally).
-    pub fn take_pending(&mut self) -> GraphDelta {
-        std::mem::take(&mut self.pending)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,63 +431,5 @@ mod tests {
         assert_eq!(applied.graph.num_edges(), 0);
         assert_eq!(applied.graph.num_vertices(), 5);
         assert_eq!(applied.deleted.len(), 10);
-    }
-
-    #[test]
-    fn overlay_answers_through_pending_and_compacts() {
-        let base = Arc::new(crate::builder::from_edges(&[(0, 1), (1, 2), (2, 3)]));
-        let mut ov = OverlayGraph::new(Arc::clone(&base), 2);
-        assert!(ov.has_edge(0, 1));
-        ov.stage_delete(0, 1).unwrap();
-        ov.stage_insert(0, 3).unwrap();
-        assert!(!ov.has_edge(0, 1));
-        assert!(ov.has_edge(3, 0));
-        assert_eq!(ov.degree(0), 1); // lost 1, gained 3
-        assert_eq!(ov.degree(3), 2);
-        // Base is untouched until compaction.
-        assert!(base.has_edge(0, 1));
-
-        // Third stage exceeds the threshold of 2 → compacts first.
-        ov.stage_insert(1, 3).unwrap();
-        assert_eq!(ov.pending().len(), 1);
-        assert!(!ov.base().has_edge(0, 1));
-        assert!(ov.base().has_edge(0, 3));
-
-        ov.compact();
-        assert!(ov.pending().is_empty());
-        assert!(ov.base().has_edge(1, 3));
-        ov.base().validate().unwrap();
-    }
-
-    #[test]
-    fn overlay_rejects_bad_stages_without_panicking() {
-        let base = Arc::new(gen::path(5));
-        let mut ov = OverlayGraph::new(base, 64);
-        assert!(matches!(
-            ov.stage_insert(0, 99),
-            Err(DeltaError::OutOfRange { u: 99, .. })
-        ));
-        assert!(matches!(
-            ov.stage_delete(2, 2),
-            Err(DeltaError::SelfLoop { u: 2 })
-        ));
-        ov.stage_insert(0, 2).unwrap();
-        assert_eq!(
-            ov.stage_delete(2, 0),
-            Err(DeltaError::Duplicate { u: 0, v: 2 })
-        );
-        assert_eq!(ov.pending().len(), 1);
-    }
-
-    #[test]
-    fn take_pending_hands_off_the_batch() {
-        let base = Arc::new(gen::cycle(6));
-        let mut ov = OverlayGraph::new(Arc::clone(&base), 64);
-        ov.stage_insert(0, 3).unwrap();
-        let d = ov.take_pending();
-        assert_eq!(d.inserts(), &[(0, 3)]);
-        assert!(ov.pending().is_empty());
-        // Base unchanged — the batch belongs to the caller now.
-        assert!(!ov.base().has_edge(0, 3));
     }
 }

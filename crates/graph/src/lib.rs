@@ -44,5 +44,5 @@ mod proptests;
 
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, VertexId};
-pub use delta::{AppliedDelta, DeltaError, GraphDelta, OverlayGraph};
+pub use delta::{AppliedDelta, DeltaError, GraphDelta};
 pub use stats::GraphStats;

@@ -6,12 +6,14 @@ use ppscan_graph::{CsrGraph, VertexId};
 use ppscan_intersect::count::count;
 use ppscan_sched::{WorkerPool, DEFAULT_DEGREE_THRESHOLD};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
-impl<'g> GsIndex<'g> {
-    /// Builds the index with `threads` workers. O(Σ over edges of
-    /// `d[u] + d[v]`) — the exhaustive cost the ppSCAN paper criticizes,
-    /// amortized over every later query.
-    pub fn build(graph: &'g CsrGraph, threads: usize) -> GsIndex<'g> {
+impl GsIndex {
+    /// Builds the index over `graph` with `threads` workers, taking
+    /// shared ownership of the graph. O(Σ over edges of `d[u] + d[v]`)
+    /// — the exhaustive cost the ppSCAN paper criticizes, amortized over
+    /// every later query.
+    pub fn build(graph: Arc<CsrGraph>, threads: usize) -> GsIndex {
         let pool = WorkerPool::new(threads);
         let n = graph.num_vertices();
         let m2 = graph.num_directed_edges();
@@ -130,13 +132,15 @@ impl<'g> GsIndex<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppscan_core::params::ScanParams;
+    use ppscan_core::pscan::pscan;
     use ppscan_graph::gen;
     use ppscan_intersect::merge;
 
     #[test]
     fn neighbor_order_is_descending_and_complete() {
-        let g = gen::planted_partition(3, 15, 0.6, 0.05, 1);
-        let idx = GsIndex::build(&g, 2);
+        let g = Arc::new(gen::planted_partition(3, 15, 0.6, 0.05, 1));
+        let idx = GsIndex::build(Arc::clone(&g), 2);
         for u in g.vertices() {
             let base = g.neighbor_range(u).start;
             let d_u = g.degree(u);
@@ -161,8 +165,8 @@ mod tests {
 
     #[test]
     fn core_order_slices_are_descending() {
-        let g = gen::roll(120, 8, 3);
-        let idx = GsIndex::build(&g, 2);
+        let g = Arc::new(gen::roll(120, 8, 3));
+        let idx = GsIndex::build(Arc::clone(&g), 2);
         for mu in 1..=idx.max_mu() {
             let slice = &idx.core_order[idx.co_offsets[mu]..idx.co_offsets[mu + 1]];
             for w in slice.windows(2) {
@@ -184,9 +188,20 @@ mod tests {
 
     #[test]
     fn empty_graph_builds() {
-        let g = ppscan_graph::CsrGraph::empty(4);
-        let idx = GsIndex::build(&g, 1);
+        let idx = GsIndex::build(Arc::new(CsrGraph::empty(4)), 1);
         assert_eq!(idx.max_mu(), 0);
         assert!(idx.heap_bytes() < 1024);
+    }
+
+    #[test]
+    fn owned_index_outlives_external_graph_handles() {
+        let index = {
+            let g = Arc::new(gen::clique_chain(4, 2));
+            GsIndex::build(g, 1)
+        }; // the only external Arc handle is gone
+        let p = ScanParams::new(0.5, 2);
+        let c = index.query(p);
+        assert_eq!(c, pscan(index.graph(), p).clustering);
+        assert!(c.num_cores() > 0);
     }
 }

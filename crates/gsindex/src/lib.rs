@@ -26,13 +26,19 @@
 //!   descending µ-th-largest neighbor similarity σ_µ, so the core set for
 //!   any ε is a prefix. Total size Σ_u d[u] = 2|E| entries.
 //!
+//! An index owns its graph through an `Arc<CsrGraph>`, so it is one
+//! self-contained value: the serving layer publishes and replaces whole
+//! indexes, and [`GsIndex::apply_delta`] returns a new index over the
+//! edited graph while the old one keeps answering.
+//!
 //! ```
 //! use ppscan_gsindex::GsIndex;
 //! use ppscan_core::params::ScanParams;
 //! use ppscan_graph::gen;
+//! use std::sync::Arc;
 //!
-//! let g = gen::scan_paper_example();
-//! let index = GsIndex::build(&g, 2);
+//! let g = Arc::new(gen::scan_paper_example());
+//! let index = GsIndex::build(g, 2);
 //! let clustering = index.query(ScanParams::new(0.7, 2));
 //! assert_eq!(clustering.num_clusters(), 2);
 //! // Any other parameters, no recomputation:
@@ -41,21 +47,26 @@
 //! ```
 
 mod build;
-mod owned;
 mod query;
 mod simvalue;
 mod update;
 
-pub use owned::OwnedGsIndex;
 pub use simvalue::SimValue;
 pub use update::UpdateStats;
 
 use ppscan_graph::{CsrGraph, VertexId};
+use std::sync::Arc;
 
-/// The similarity index. Build once with [`GsIndex::build`], query any
+/// Another name for [`GsIndex`], kept because the benchmark under
+/// `perfbench/` uses it.
+pub type OwnedGsIndex = GsIndex;
+
+/// The similarity index, owning (a shared handle to) the graph it
+/// indexes, so an index is one droppable unit the serving layer can
+/// publish and replace. Build once with [`GsIndex::build`], query any
 /// number of times with [`GsIndex::query`].
-pub struct GsIndex<'g> {
-    graph: &'g CsrGraph,
+pub struct GsIndex {
+    graph: Arc<CsrGraph>,
     /// Per directed CSR slot (in *neighbor-order*, not CSR order): the
     /// reordered neighbor and the exact closed-neighborhood intersection
     /// `cn` of that edge. `no[offsets[u]..offsets[u+1]]` is `u`'s
@@ -68,10 +79,10 @@ pub struct GsIndex<'g> {
     co_offsets: Vec<usize>,
 }
 
-impl<'g> GsIndex<'g> {
+impl GsIndex {
     /// The indexed graph.
-    pub fn graph(&self) -> &'g CsrGraph {
-        self.graph
+    pub fn graph(&self) -> &Arc<CsrGraph> {
+        &self.graph
     }
 
     /// The σ-descending `(neighbor, cn)` entries of `u` — the slice the
@@ -112,11 +123,12 @@ impl<'g> GsIndex<'g> {
             .map(|(v, _)| v)
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint of index plus graph, in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.neighbor_order.len() * std::mem::size_of::<(VertexId, u32)>()
             + self.core_order.len() * std::mem::size_of::<(VertexId, u32, u64)>()
             + self.co_offsets.len() * std::mem::size_of::<usize>()
+            + self.graph.heap_bytes()
     }
 
     /// Largest µ the index can answer (the maximum degree).

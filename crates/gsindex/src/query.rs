@@ -3,15 +3,15 @@
 use crate::{GsIndex, SimValue};
 use ppscan_core::params::ScanParams;
 use ppscan_core::result::{Clustering, Role, NO_CLUSTER};
-use ppscan_graph::VertexId;
+use ppscan_graph::{CsrGraph, VertexId};
 use ppscan_unionfind::UnionFind;
 
-impl<'g> GsIndex<'g> {
+impl GsIndex {
     /// Answers a `(ε, µ)` clustering query from the index alone — no set
     /// intersections. Work is proportional to the number of cores plus
     /// their ε-similar edges.
     pub fn query(&self, params: ScanParams) -> Clustering {
-        let g = self.graph;
+        let g: &CsrGraph = &self.graph;
         let n = g.num_vertices();
         let eps = &params.epsilon;
         let mu = params.mu;
@@ -79,6 +79,7 @@ mod tests {
     use ppscan_core::pscan::pscan;
     use ppscan_core::verify;
     use ppscan_graph::gen;
+    use std::sync::Arc;
 
     #[test]
     fn query_matches_pscan_across_grid() {
@@ -88,9 +89,10 @@ mod tests {
             gen::planted_partition(3, 18, 0.6, 0.04, 2),
             gen::erdos_renyi(100, 480, 7),
             gen::roll(150, 8, 5),
-        ];
+        ]
+        .map(Arc::new);
         for g in &graphs {
-            let idx = GsIndex::build(g, 2);
+            let idx = GsIndex::build(Arc::clone(g), 2);
             for eps10 in [1u32, 3, 5, 7, 9, 10] {
                 for mu in [1usize, 2, 3, 5, 8] {
                     let p = ScanParams::new(eps10 as f64 / 10.0, mu);
@@ -107,16 +109,15 @@ mod tests {
 
     #[test]
     fn query_verifies_from_first_principles() {
-        let g = gen::planted_partition(4, 15, 0.6, 0.03, 11);
-        let idx = GsIndex::build(&g, 2);
+        let g = Arc::new(gen::planted_partition(4, 15, 0.6, 0.03, 11));
+        let idx = GsIndex::build(Arc::clone(&g), 2);
         let p = ScanParams::new(0.5, 3);
         verify::check_clustering(&g, p, &idx.query(p)).unwrap();
     }
 
     #[test]
     fn mu_beyond_max_degree_yields_empty() {
-        let g = gen::star(10);
-        let idx = GsIndex::build(&g, 1);
+        let idx = GsIndex::build(Arc::new(gen::star(10)), 1);
         let c = idx.query(ScanParams::new(0.2, 50));
         assert_eq!(c.num_cores(), 0);
         assert_eq!(c.num_clusters(), 0);
@@ -127,8 +128,8 @@ mod tests {
         // µ = max_mu() is the last bucket build.rs lays out
         // (`co_offsets[mu]..co_offsets[mu + 1]` with len = max_d + 2);
         // the boundary guard must keep it reachable.
-        let g = gen::complete(6);
-        let idx = GsIndex::build(&g, 1);
+        let g = Arc::new(gen::complete(6));
+        let idx = GsIndex::build(Arc::clone(&g), 1);
         let mu = idx.max_mu();
         assert_eq!(mu, 5);
         let p = ScanParams::new(0.9, mu);
@@ -141,8 +142,8 @@ mod tests {
     fn mu_at_bucket_count_yields_empty() {
         // One past the largest tracked bucket: no vertex has that many
         // neighbors, so the answer is the empty clustering, same as pscan.
-        let g = gen::clique_chain(4, 3);
-        let idx = GsIndex::build(&g, 1);
+        let g = Arc::new(gen::clique_chain(4, 3));
+        let idx = GsIndex::build(Arc::clone(&g), 1);
         let mu = idx.max_mu() + 1;
         let p = ScanParams::new(0.1, mu);
         let c = idx.query(p);
@@ -156,8 +157,7 @@ mod tests {
         // debug builds and wraps to 0 in release (passing the bounds
         // check and indexing out of range) for µ = usize::MAX. A server
         // accepting untrusted µ must get an empty answer instead.
-        let g = gen::complete(4);
-        let idx = GsIndex::build(&g, 1);
+        let idx = GsIndex::build(Arc::new(gen::complete(4)), 1);
         for mu in [usize::MAX, usize::MAX - 1, idx.max_mu() + 2] {
             let c = idx.query(ScanParams::new(0.5, mu));
             assert_eq!(c.num_cores(), 0, "mu = {mu}");
@@ -168,8 +168,7 @@ mod tests {
     #[test]
     fn epsilon_one_on_complete_graph() {
         // K_5: all closed neighborhoods identical → σ ≡ 1 ≥ ε = 1.
-        let g = gen::complete(5);
-        let idx = GsIndex::build(&g, 1);
+        let idx = GsIndex::build(Arc::new(gen::complete(5)), 1);
         let c = idx.query(ScanParams::new(1.0, 2));
         assert_eq!(c.num_cores(), 5);
         assert_eq!(c.num_clusters(), 1);

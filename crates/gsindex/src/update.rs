@@ -20,7 +20,7 @@
 //! freshly derived entries (`update-roles` span). No global sort, no
 //! global intersection pass.
 
-use crate::{GsIndex, OwnedGsIndex, SimValue};
+use crate::{GsIndex, SimValue};
 use ppscan_graph::delta::{AppliedDelta, DeltaError, GraphDelta};
 use ppscan_graph::{CsrGraph, VertexId};
 use ppscan_intersect::count::count;
@@ -48,16 +48,16 @@ pub struct UpdateStats {
     pub affected: Vec<VertexId>,
 }
 
-impl OwnedGsIndex {
+impl GsIndex {
     /// Applies an update batch, producing a fresh index over the edited
     /// graph by localized recomputation. The original index is
-    /// untouched (readers keep serving from it; the serving layer swaps
-    /// the result in via its snapshot cell).
+    /// untouched (readers keep serving from it; the serving layer
+    /// publishes the result as a new snapshot).
     pub fn apply_delta(
         &self,
         delta: &GraphDelta,
         threads: usize,
-    ) -> Result<(OwnedGsIndex, UpdateStats), DeltaError> {
+    ) -> Result<(GsIndex, UpdateStats), DeltaError> {
         self.apply_delta_with(delta, &WorkerPool::new(threads))
     }
 
@@ -68,36 +68,36 @@ impl OwnedGsIndex {
         &self,
         delta: &GraphDelta,
         pool: &WorkerPool,
-    ) -> Result<(OwnedGsIndex, UpdateStats), DeltaError> {
+    ) -> Result<(GsIndex, UpdateStats), DeltaError> {
         let AppliedDelta {
             graph,
             inserted,
             deleted,
-        } = delta.apply_to(self.graph())?;
-        let graph = Arc::new(graph);
-        // SAFETY: same argument as `OwnedGsIndex::build` — the `'static`
-        // borrow is backed by the `Arc` stored alongside it in the
-        // returned struct, never escapes at `'static`, and the pointee
-        // is a stable heap allocation.
-        let g: &'static CsrGraph = unsafe { &*Arc::as_ptr(&graph) };
-        let (index, stats) = incremental(self.index(), g, &inserted, &deleted, pool);
-        Ok((OwnedGsIndex::from_parts(index, graph), stats))
+        } = delta.apply_to(&self.graph)?;
+        Ok(incremental(
+            self,
+            Arc::new(graph),
+            &inserted,
+            &deleted,
+            pool,
+        ))
     }
 }
 
-/// Rebuilds the index over `g_new` reusing everything `old` computed
+/// Rebuilds the index over `graph` reusing everything `old` computed
 /// that the edits cannot have invalidated. `inserted`/`deleted` are the
 /// *effective* edits (normalized `u < v`, no no-ops) from
-/// [`GraphDelta::apply_to`]; `g_new` must be the graph they produced
+/// [`GraphDelta::apply_to`]; `graph` must be the graph they produced
 /// from `old.graph` (same vertex set).
-pub(crate) fn incremental<'n>(
-    old: &GsIndex<'_>,
-    g_new: &'n CsrGraph,
+pub(crate) fn incremental(
+    old: &GsIndex,
+    graph: Arc<CsrGraph>,
     inserted: &[(VertexId, VertexId)],
     deleted: &[(VertexId, VertexId)],
     pool: &WorkerPool,
-) -> (GsIndex<'n>, UpdateStats) {
-    let g_old = old.graph;
+) -> (GsIndex, UpdateStats) {
+    let g_new: &CsrGraph = &graph;
+    let g_old: &CsrGraph = &old.graph;
     let n = g_new.num_vertices();
     debug_assert_eq!(
         n,
@@ -550,7 +550,7 @@ pub(crate) fn incremental<'n>(
 
     (
         GsIndex {
-            graph: g_new,
+            graph,
             neighbor_order,
             core_order,
             co_offsets,
@@ -615,9 +615,9 @@ mod tests {
     /// Structural equality with a from-scratch build: same offsets, same
     /// per-vertex neighbor-order multisets (σ ties may order freely, so
     /// compare sorted copies), same per-µ core-order multisets.
-    fn assert_index_equivalent(inc: &GsIndex<'_>, fresh: &GsIndex<'_>) {
+    fn assert_index_equivalent(inc: &GsIndex, fresh: &GsIndex) {
         assert_eq!(inc.co_offsets, fresh.co_offsets, "co_offsets diverged");
-        let g = fresh.graph;
+        let g = &fresh.graph;
         for u in g.vertices() {
             let r = g.neighbor_range(u);
             let mut a = inc.neighbor_order[r.clone()].to_vec();
@@ -645,12 +645,12 @@ mod tests {
             gen::clique_chain(5, 3),
         ];
         for (gi, g) in graphs.into_iter().enumerate() {
-            let owned = OwnedGsIndex::build(Arc::new(g), 2);
+            let index = GsIndex::build(Arc::new(g), 2);
             for (ins, dels, seed) in [(1, 0, 1), (0, 1, 2), (4, 4, 3), (16, 8, 4)] {
-                let delta = random_delta(owned.graph(), ins, dels, seed ^ (gi as u64) << 8);
-                let (updated, stats) = owned.apply_delta(&delta, 2).unwrap();
-                let fresh = GsIndex::build(updated.graph(), 2);
-                assert_index_equivalent(updated.index(), &fresh);
+                let delta = random_delta(index.graph(), ins, dels, seed ^ (gi as u64) << 8);
+                let (updated, stats) = index.apply_delta(&delta, 2).unwrap();
+                let fresh = GsIndex::build(Arc::clone(updated.graph()), 2);
+                assert_index_equivalent(&updated, &fresh);
                 assert_eq!(stats.applied_edges, delta.len(), "all staged ops effective");
                 assert!(stats.touched_vertices >= stats.applied_edges.min(1));
             }
@@ -660,10 +660,10 @@ mod tests {
     #[test]
     fn incremental_queries_match_from_scratch() {
         let g = gen::planted_partition(4, 14, 0.55, 0.06, 11);
-        let owned = OwnedGsIndex::build(Arc::new(g), 2);
-        let delta = random_delta(owned.graph(), 10, 10, 99);
-        let (updated, _) = owned.apply_delta(&delta, 2).unwrap();
-        let fresh = GsIndex::build(updated.graph(), 2);
+        let index = GsIndex::build(Arc::new(g), 2);
+        let delta = random_delta(index.graph(), 10, 10, 99);
+        let (updated, _) = index.apply_delta(&delta, 2).unwrap();
+        let fresh = GsIndex::build(Arc::clone(updated.graph()), 2);
         for eps10 in [2u32, 4, 6, 8] {
             for mu in [1usize, 2, 3, 5] {
                 let p = ScanParams::new(eps10 as f64 / 10.0, mu);
@@ -681,13 +681,13 @@ mod tests {
         // Apply 8 batches in sequence; the index after each must match a
         // from-scratch build (drift would compound otherwise).
         let g = gen::roll(120, 6, 17);
-        let mut owned = OwnedGsIndex::build(Arc::new(g), 2);
+        let mut index = GsIndex::build(Arc::new(g), 2);
         for step in 0..8u64 {
-            let delta = random_delta(owned.graph(), 3, 2, 1000 + step);
-            let (next, _) = owned.apply_delta(&delta, 2).unwrap();
-            let fresh = GsIndex::build(next.graph(), 2);
-            assert_index_equivalent(next.index(), &fresh);
-            owned = next;
+            let delta = random_delta(index.graph(), 3, 2, 1000 + step);
+            let (next, _) = index.apply_delta(&delta, 2).unwrap();
+            let fresh = GsIndex::build(Arc::clone(next.graph()), 2);
+            assert_index_equivalent(&next, &fresh);
+            index = next;
         }
     }
 
@@ -696,15 +696,15 @@ mod tests {
         // Push max degree up past the old bucket count and back down:
         // co_offsets must grow and shrink with it.
         let g = gen::path(8); // max degree 2
-        let owned = OwnedGsIndex::build(Arc::new(g), 1);
-        assert_eq!(owned.max_mu(), 2);
+        let index = GsIndex::build(Arc::new(g), 1);
+        assert_eq!(index.max_mu(), 2);
         let mut grow = GraphDelta::new();
         for v in [2u32, 3, 4, 5, 6, 7] {
             grow.insert(0, v).unwrap();
         }
-        let (grown, _) = owned.apply_delta(&grow, 1).unwrap();
+        let (grown, _) = index.apply_delta(&grow, 1).unwrap();
         assert_eq!(grown.max_mu(), grown.graph().max_degree());
-        assert_index_equivalent(grown.index(), &GsIndex::build(grown.graph(), 1));
+        assert_index_equivalent(&grown, &GsIndex::build(Arc::clone(grown.graph()), 1));
 
         let mut shrink = GraphDelta::new();
         for v in [2u32, 3, 4, 5, 6, 7] {
@@ -712,31 +712,31 @@ mod tests {
         }
         let (back, _) = grown.apply_delta(&shrink, 1).unwrap();
         assert_eq!(back.max_mu(), 2);
-        assert_index_equivalent(back.index(), &GsIndex::build(back.graph(), 1));
+        assert_index_equivalent(&back, &GsIndex::build(Arc::clone(back.graph()), 1));
     }
 
     #[test]
     fn noop_delta_leaves_index_equivalent_and_counts_zero() {
         let g = gen::cycle(12);
-        let owned = OwnedGsIndex::build(Arc::new(g), 1);
+        let index = GsIndex::build(Arc::new(g), 1);
         let mut delta = GraphDelta::new();
         delta.insert(0, 1).unwrap(); // present → no-op
         delta.delete(0, 6).unwrap(); // absent → no-op
-        let (updated, stats) = owned.apply_delta(&delta, 1).unwrap();
+        let (updated, stats) = index.apply_delta(&delta, 1).unwrap();
         assert_eq!(stats.applied_edges, 0);
         assert_eq!(stats.touched_vertices, 0);
         assert_eq!(stats.recomputed_edges, 0);
-        assert_index_equivalent(updated.index(), owned.index());
+        assert_index_equivalent(&updated, &index);
     }
 
     #[test]
     fn invalid_delta_is_an_error_not_a_panic() {
         let g = gen::star(5);
-        let owned = OwnedGsIndex::build(Arc::new(g), 1);
+        let index = GsIndex::build(Arc::new(g), 1);
         let mut delta = GraphDelta::new();
         delta.insert(0, 999).unwrap();
         assert!(matches!(
-            owned.apply_delta(&delta, 1),
+            index.apply_delta(&delta, 1),
             Err(DeltaError::OutOfRange { u: 999, .. })
         ));
     }
@@ -747,9 +747,9 @@ mod tests {
         // vertices, not the whole graph.
         let g = gen::roll(2000, 8, 23);
         let n = g.num_vertices();
-        let owned = OwnedGsIndex::build(Arc::new(g), 2);
-        let delta = random_delta(owned.graph(), 1, 0, 7);
-        let (_, stats) = owned.apply_delta(&delta, 2).unwrap();
+        let index = GsIndex::build(Arc::new(g), 2);
+        let delta = random_delta(index.graph(), 1, 0, 7);
+        let (_, stats) = index.apply_delta(&delta, 2).unwrap();
         assert_eq!(stats.applied_edges, 1);
         assert!(
             stats.touched_vertices < n / 10,

@@ -52,10 +52,6 @@ pub const ORDERING_ALLOW: &[(&str, &str)] = &[
         "the race detector itself: orderings classify recorded edges, they are not protocol sites",
     ),
     (
-        "crates/obs/src/span.rs",
-        "observability counters: monotone telemetry, Relaxed by design, no payload publication",
-    ),
-    (
         "crates/obs/src/hist.rs",
         "lock-free histogram: monotone counter buckets, Relaxed by design",
     ),
@@ -86,10 +82,6 @@ pub const ORDERING_ALLOW: &[(&str, &str)] = &[
     (
         "crates/sched/src/lib.rs",
         "the worker pool: deque/condvar protocol audited in DESIGN §8, exercised under the detector",
-    ),
-    (
-        "crates/serve/src/snapshot.rs",
-        "snapshot cell pin/publish/retire protocol: modeled exhaustively by ppscan-check (snapshot-pin-publish)",
     ),
     (
         "crates/serve/src/server.rs",

@@ -204,11 +204,20 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a complete JSON document (rejects trailing garbage).
+/// Deepest container nesting [`parse`] accepts. Parsing recurses once
+/// per nested array or object, so an unbounded depth would let a
+/// hostile document overflow the stack; committed reports nest at most
+/// 7 deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (rejects trailing garbage and
+/// nesting deeper than [`MAX_DEPTH`]).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -220,8 +229,13 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
+    /// Byte offset of the next unread character; always on a `char`
+    /// boundary of `input`.
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -266,12 +280,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one container a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("more than {MAX_DEPTH} nested containers")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -374,11 +403,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid; find the char at this offset).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
+                    // Consume one character, decoded straight from the
+                    // input at `pos` (a char boundary), in O(1).
+                    let c = self
+                        .input
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -521,6 +552,34 @@ mod tests {
         for bad in ["", "{", "[1,]", "tru", "\"abc", "1 2", r#"{"a" 1}"#, "nul"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        // Objects count toward the same bound.
+        let objects = r#"{"k":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
+        let objects = r#"{"k":"#.repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&objects).is_ok());
+    }
+
+    #[test]
+    fn million_deep_document_is_an_error_not_a_stack_overflow() {
+        let doc = "[".repeat(1_000_000) + &"]".repeat(1_000_000);
+        assert!(parse(&doc).is_err());
+    }
+
+    #[test]
+    fn mebibyte_string_roundtrips() {
+        // Mixed 1-, 2- and 3-byte characters; parsing must stay linear
+        // in the string's length.
+        let s = "ab\u{e9}\u{2603}".repeat((1 << 20) / 7 + 1);
+        assert!(s.len() >= 1 << 20);
+        roundtrip(&Json::Str(s));
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Span tracing core: scoped stage timers feeding per-thread ring buffers
-//! and process-wide [`Collector`]s.
+//! Span tracing core: scoped stage timers feeding process-wide
+//! [`Collector`]s.
 //!
 //! The model is deliberately small:
 //!
 //! * A [`Span`] is an RAII guard for one named stage on the current
 //!   thread. Stage names are `&'static str` so recording a span is a
 //!   push/pop plus an `Instant` read — no allocation on the hot path.
-//! * Each thread keeps a fixed-capacity ring buffer of recent
-//!   [`SpanEvent`]s for debugging ([`recent_events`]).
 //! * A [`Collector`] aggregates finished spans into per-stage,
 //!   per-worker totals (busy nanos, task counts, injected yields).
 //!   Collectors are activated per-thread; worker threads join a
@@ -18,12 +16,8 @@
 //!   untagged threads record into the orchestrator (wall) slot.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Capacity of the per-thread debug ring buffer.
-const RING_CAPACITY: usize = 256;
 
 thread_local! {
     /// Stack of currently open stage names on this thread.
@@ -32,37 +26,6 @@ thread_local! {
     static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
     /// Collectors receiving finished spans from this thread.
     static ACTIVE: RefCell<Vec<Arc<CollectorInner>>> = const { RefCell::new(Vec::new()) };
-    /// Ring buffer of recently finished spans (debugging aid).
-    static RING: RefCell<Vec<SpanEvent>> = const { RefCell::new(Vec::new()) };
-    /// Spans this thread's ring has evicted to make room ("no silent
-    /// caps": truncation is counted, not hidden).
-    static RING_DROPPED: Cell<u64> = const { Cell::new(0) };
-}
-
-/// A finished span, as recorded in the per-thread ring buffer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Stage name.
-    pub stage: &'static str,
-    /// Worker id at the time the span closed, if the thread was tagged.
-    pub worker: Option<usize>,
-    /// Span duration in nanoseconds.
-    pub nanos: u64,
-}
-
-/// Returns up to the last [`RING_CAPACITY`] spans finished on this
-/// thread, oldest first.
-pub fn recent_events() -> Vec<SpanEvent> {
-    RING.with(|r| r.borrow().clone())
-}
-
-/// How many spans this thread's debug ring has evicted so far. Pairs
-/// with [`recent_events`]: a non-zero count means that view lost its
-/// oldest history. Collectors active at eviction time also accumulate
-/// the loss ([`Collector::dropped_events`]), which is what surfaces in
-/// run reports.
-pub fn ring_dropped() -> u64 {
-    RING_DROPPED.with(|d| d.get())
 }
 
 /// The innermost currently-open stage on this thread, if any.
@@ -113,27 +76,8 @@ impl Span {
         });
         let worker = WORKER.with(|w| w.get());
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let evicted = RING.with(|r| {
-            let mut ring = r.borrow_mut();
-            let evicted = ring.len() == RING_CAPACITY;
-            if evicted {
-                ring.remove(0);
-            }
-            ring.push(SpanEvent {
-                stage: self.stage,
-                worker,
-                nanos,
-            });
-            evicted
-        });
-        if evicted {
-            RING_DROPPED.with(|d| d.set(d.get() + 1));
-        }
         ACTIVE.with(|a| {
             for collector in a.borrow().iter() {
-                if evicted {
-                    collector.dropped.fetch_add(1, Ordering::Relaxed);
-                }
                 collector.record_span(self.stage, worker, nanos);
             }
         });
@@ -246,9 +190,6 @@ impl StageAgg {
 #[derive(Default)]
 struct CollectorInner {
     stages: Mutex<Vec<StageAgg>>,
-    /// Ring evictions observed while this collector was active, summed
-    /// across all recording threads.
-    dropped: AtomicU64,
 }
 
 impl CollectorInner {
@@ -350,15 +291,6 @@ impl Collector {
     /// A snapshot of the per-stage aggregates, in first-seen stage order.
     pub fn snapshot(&self) -> Vec<StageAgg> {
         self.inner.stages.lock().unwrap().clone()
-    }
-
-    /// Debug-ring evictions observed while this collector was active,
-    /// across all threads recording into it. Aggregation in the
-    /// collector itself is lossless — this counts only lost *ring*
-    /// history — but a non-zero value belongs in the run report so the
-    /// cap is never silent.
-    pub fn dropped_events(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -590,59 +522,21 @@ mod tests {
         assert_eq!(agg.workers[0].yields, 0);
     }
 
+    /// Aggregation is lossless: every span entered lands in the
+    /// collector's count. Runs on a fresh thread so other tests' spans
+    /// don't perturb it.
     #[test]
-    fn ring_buffer_keeps_recent_events() {
-        for i in 0..(RING_CAPACITY + 10) {
-            let _ = i;
-            let _span = Span::enter("ring-test");
-        }
-        let events = recent_events();
-        assert!(events.len() <= RING_CAPACITY);
-        assert!(events.iter().filter(|e| e.stage == "ring-test").count() >= RING_CAPACITY / 2);
-    }
-
-    /// Overfilling the ring is counted, per-thread and per-collector —
-    /// never silent. Runs on a fresh thread so other tests' spans don't
-    /// perturb the thread-local baseline.
-    #[test]
-    fn ring_overfill_is_counted_not_silent() {
+    fn collector_counts_every_span_entered() {
         thread::spawn(|| {
             let collector = Collector::new();
             let _guard = collector.activate();
-            assert_eq!(ring_dropped(), 0);
-            const OVERFILL: usize = 30;
-            for _ in 0..(RING_CAPACITY + OVERFILL) {
-                let _span = Span::enter("overfill");
+            const SPANS: usize = 286;
+            for _ in 0..SPANS {
+                let _span = Span::enter("counted");
             }
-            assert_eq!(ring_dropped(), OVERFILL as u64);
-            assert_eq!(collector.dropped_events(), OVERFILL as u64);
-            // The ring still holds the most recent RING_CAPACITY events
-            // and the collector aggregation itself lost nothing.
-            assert_eq!(recent_events().len(), RING_CAPACITY);
             let snap = collector.snapshot();
-            let agg = snap.iter().find(|s| s.stage == "overfill").unwrap();
-            assert_eq!(agg.wall_count, (RING_CAPACITY + OVERFILL) as u64);
-        })
-        .join()
-        .unwrap();
-    }
-
-    /// A collector activated after evictions started only counts the
-    /// evictions that happen while it is active.
-    #[test]
-    fn dropped_events_scoped_to_collector_activation() {
-        thread::spawn(|| {
-            for _ in 0..(RING_CAPACITY + 5) {
-                let _span = Span::enter("pre");
-            }
-            assert_eq!(ring_dropped(), 5);
-            let collector = Collector::new();
-            let _guard = collector.activate();
-            for _ in 0..3 {
-                let _span = Span::enter("post");
-            }
-            assert_eq!(collector.dropped_events(), 3);
-            assert_eq!(ring_dropped(), 8);
+            let agg = snap.iter().find(|s| s.stage == "counted").unwrap();
+            assert_eq!(agg.wall_count, SPANS as u64);
         })
         .join()
         .unwrap();

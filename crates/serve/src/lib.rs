@@ -6,19 +6,17 @@
 //! work across parameterizations. This crate adds the last layer: a
 //! **server** that builds the index once and answers concurrent
 //! `(ε, µ)` cluster/hub/outlier queries from many client threads, with
-//! index refreshes that never block the query path.
+//! index refreshes that run alongside the queries.
 //!
-//! * [`snapshot`] — [`snapshot::SnapshotCell`], a std-only
-//!   epoch-reclaimed atomic snapshot: readers pin with two atomic
-//!   stores, writers swap a pointer and reclaim old snapshots once no
-//!   pin can reach them.
 //! * [`server`] — [`server::Server`]: an in-process request queue, a
 //!   dispatcher that executes batches on a `ppscan-sched`
-//!   [`WorkerPool`](ppscan_sched::WorkerPool) under one snapshot pin
+//!   [`WorkerPool`](ppscan_sched::WorkerPool) against one index snapshot
 //!   per batch, per-query `ppscan-obs` spans, and a lock-free latency
-//!   histogram (p50/p99/p999) for run reports.
+//!   histogram (p50/p99/p999) for run reports. The index is published
+//!   as an `Arc` behind a `Mutex`: the dispatcher clones it once per
+//!   batch, and a rebuild or update swaps it.
 //!
-//! See DESIGN.md §11 for the protocol write-up and the report fields
+//! See DESIGN.md §11 for the publication scheme and the report fields
 //! the serve benchmark emits.
 //!
 //! # Example
@@ -37,7 +35,5 @@
 #![warn(missing_docs)]
 
 pub mod server;
-pub mod snapshot;
 
 pub use server::{QueryResponse, ServeConfig, Server, Ticket};
-pub use snapshot::{Guard, Reader, SnapshotCell};

@@ -1,5 +1,5 @@
 //! The serving loop: a dispatcher thread drains an in-process request
-//! queue into batches, pins one index snapshot per batch, and fans the
+//! queue into batches, takes one index snapshot per batch, and fans the
 //! batch out across a [`WorkerPool`].
 //!
 //! Threading model:
@@ -7,14 +7,16 @@
 //! * **Clients** (any number of threads) call [`Server::submit`] /
 //!   [`Server::query`]: push a job onto a mutex-protected queue and
 //!   optionally block on a per-job response slot.
-//! * **One dispatcher** owns the pool and the snapshot [`Reader`]. It
-//!   pins the current [`IndexSnapshot`] *once per batch* — the
+//! * **One dispatcher** owns the pool. It clones the current
+//!   `Arc<IndexSnapshot>` *once per batch* (a reference-count increment
+//!   under an uncontended lock) and holds it until the batch ends — the
 //!   per-query path inside the pool shares the `&` reference and never
-//!   touches the snapshot cell.
-//! * **Rebuilds** ([`Server::rebuild`]) happen on the calling thread:
-//!   build the new index, then [`SnapshotCell::publish`] it. Publishing
-//!   never waits for in-flight batches; the old index is reclaimed once
-//!   the dispatcher's pin moves past it.
+//!   touches the lock.
+//! * **Rebuilds and updates** ([`Server::rebuild`], [`Server::update`])
+//!   happen on the calling thread: build the new index outside the
+//!   lock, then swap the `Arc` under it. Publishing never waits for
+//!   in-flight batches; a batch still holding the replaced snapshot
+//!   frees it when the batch ends.
 //!
 //! Every query runs under a `serve-query` span nested in the batch's
 //! `serve-batch` span, and its queue-to-completion latency lands in a
@@ -43,11 +45,10 @@
 //!   `serve.watchdog_trips` moves. Size the deadline well above the
 //!   worst single-batch latency.
 
-use crate::snapshot::SnapshotCell;
 use ppscan_core::params::ScanParams;
 use ppscan_core::result::Clustering;
 use ppscan_graph::{CsrGraph, GraphDelta};
-use ppscan_gsindex::OwnedGsIndex;
+use ppscan_gsindex::GsIndex;
 use ppscan_obs::events::{
     EventKind, FlightRecorder, StallWatchdog, WatchdogConfig, DEFAULT_RECORDER_CAPACITY,
 };
@@ -69,7 +70,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ServeConfig {
     /// Worker threads in the query pool (also used for index builds).
     pub threads: usize,
-    /// Largest number of queued queries executed under one snapshot pin.
+    /// Largest number of queued queries executed against one snapshot.
     pub max_batch: usize,
     /// Execution strategy for the query pool. `AdversarialSeeded` turns
     /// the serving path into a schedule-perturbed stress harness.
@@ -83,7 +84,7 @@ pub struct ServeConfig {
     /// Stall-watchdog deadline/poll; `None` runs without a watchdog.
     pub watchdog: Option<WatchdogConfig>,
     /// Test seam: called by the dispatcher with the 0-based batch
-    /// ordinal after the batch's snapshot is pinned and its batch-start
+    /// ordinal after the batch's snapshot is taken and its batch-start
     /// event recorded, *before* any query runs. A hook that blocks
     /// stalls the dispatcher mid-batch — exactly what a watchdog test
     /// needs to stage deterministically.
@@ -118,14 +119,13 @@ impl std::fmt::Debug for ServeConfig {
     }
 }
 
-/// The unit the snapshot cell publishes: an owned index tagged with the
-/// generation that produced it. Keeping the generation inside the
-/// payload (rather than deriving it from the cell's epoch at read time)
-/// means a response's generation always names exactly the index that
-/// answered it.
+/// The unit the server publishes: an index tagged with the generation
+/// that produced it. Keeping the generation inside the payload means a
+/// response's generation always names exactly the index that answered
+/// it.
 struct IndexSnapshot {
     generation: u64,
-    index: OwnedGsIndex,
+    index: GsIndex,
 }
 
 /// What a client gets back for one submitted query.
@@ -178,16 +178,25 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     cv: Condvar,
     shutdown: AtomicBool,
+    /// The published snapshot. Readers clone the `Arc`; publishers swap
+    /// it. The lock is held only for a clone, a swap or a field read.
+    current: Mutex<Arc<IndexSnapshot>>,
 }
 
-/// A long-lived `(ε, µ)` clustering server over a [`SnapshotCell`] of
-/// [`OwnedGsIndex`]. `Server` is `Sync`: share `&Server` across client
-/// threads (e.g. via `std::thread::scope`). Dropping the server drains
-/// the queue, answers every outstanding ticket, and joins the
+impl Shared {
+    /// The published snapshot, held for as long as the caller keeps it.
+    fn current(&self) -> Arc<IndexSnapshot> {
+        Arc::clone(&lock(&self.current))
+    }
+}
+
+/// A long-lived `(ε, µ)` clustering server over a published
+/// [`GsIndex`] snapshot. `Server` is `Sync`: share `&Server` across
+/// client threads (e.g. via `std::thread::scope`). Dropping the server
+/// drains the queue, answers every outstanding ticket, and joins the
 /// dispatcher.
 pub struct Server {
     shared: Arc<Shared>,
-    cell: Arc<SnapshotCell<IndexSnapshot>>,
     hist: Arc<LatencyHistogram>,
     metrics: Arc<MetricsRegistry>,
     recorder: Arc<FlightRecorder>,
@@ -215,15 +224,15 @@ impl Server {
     /// collector.
     pub fn start(graph: Arc<CsrGraph>, config: ServeConfig) -> Server {
         let threads = config.threads.max(1);
-        let index = OwnedGsIndex::build(graph, threads);
-        let cell = Arc::new(SnapshotCell::new(IndexSnapshot {
-            generation: 1,
-            index,
-        }));
+        let index = GsIndex::build(graph, threads);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            current: Mutex::new(Arc::new(IndexSnapshot {
+                generation: 1,
+                index,
+            })),
         });
 
         let metrics = Arc::new(MetricsRegistry::new());
@@ -247,7 +256,6 @@ impl Server {
         let ctx = propagate::capture();
         let dispatcher = {
             let shared = Arc::clone(&shared);
-            let cell = Arc::clone(&cell);
             let hist = Arc::clone(&hist);
             let recorder = Arc::clone(&recorder);
             let queries = queries.clone();
@@ -265,7 +273,6 @@ impl Server {
                     let _ctx = ctx.attach();
                     let pool = WorkerPool::with_strategy(threads, strategy);
                     pool.attach_metrics(pool_metrics);
-                    let mut reader = cell.reader();
                     let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
                     let mut batch_ordinal = 0u64;
                     loop {
@@ -295,11 +302,12 @@ impl Server {
                         batch_size.set(batch.len() as i64);
                         queue_depth.add(-(batch.len() as i64));
                         let _batch_span = Span::enter("serve-batch");
-                        // One pin per batch: every query in the batch
-                        // sees the same generation, and the per-query
-                        // path does zero snapshot synchronization.
-                        let snap = reader.pin();
-                        let snap: &IndexSnapshot = &snap;
+                        // One snapshot per batch: every query in the
+                        // batch sees the same generation, and the
+                        // per-query path does zero snapshot
+                        // synchronization. Held until the batch ends.
+                        let held = shared.current();
+                        let snap: &IndexSnapshot = &held;
                         recorder.record(EventKind::BatchStart, batch.len() as u64, snap.generation);
                         if let Some(hook) = &batch_hook {
                             hook(batch_ordinal);
@@ -356,7 +364,6 @@ impl Server {
 
         Server {
             shared,
-            cell,
             hist,
             metrics,
             recorder,
@@ -405,19 +412,16 @@ impl Server {
 
     /// Builds an index over `graph` on the *calling* thread and swaps
     /// it in. In-flight and queued queries keep completing against
-    /// whichever snapshot their batch pinned — the swap never blocks
-    /// them, and they never block the swap. Returns the new snapshot's
-    /// generation. Concurrent rebuilds are serialized so generations
-    /// publish in order.
+    /// whichever snapshot their batch took — the swap never waits for
+    /// them, and they wait for it only as long as one `Arc` swap holds
+    /// the lock. Returns the new snapshot's generation. Concurrent
+    /// rebuilds are serialized so generations publish in order.
     pub fn rebuild(&self, graph: Arc<CsrGraph>) -> u64 {
         let _serialize = lock(&self.rebuild_lock);
         let generation = self.next_generation.fetch_add(1, SeqCst);
-        let index = OwnedGsIndex::build(graph, self.threads);
-        self.cell.publish(IndexSnapshot { generation, index });
+        let index = GsIndex::build(graph, self.threads);
+        self.publish(IndexSnapshot { generation, index }, 0);
         self.rebuilds.incr();
-        self.generation_gauge
-            .set(generation.min(i64::MAX as u64) as i64);
-        self.recorder.record(EventKind::Swap, 0, generation);
         generation
     }
 
@@ -426,36 +430,46 @@ impl Server {
     /// as a new generation — one snapshot swap per batch, never one per
     /// edit. The maintenance runs on the calling thread and recomputes
     /// only the touched neighborhoods
-    /// ([`OwnedGsIndex::apply_delta`]); in-flight batches keep
-    /// answering from whichever snapshot they pinned. An invalid delta
+    /// ([`GsIndex::apply_delta`]); in-flight batches keep answering
+    /// from whichever snapshot they took. An invalid delta
     /// (out-of-range vertex, duplicate edit) is an `Err` and publishes
     /// nothing. Returns the new snapshot's generation.
     pub fn update(&self, delta: &GraphDelta) -> Result<u64, String> {
         let _serialize = lock(&self.rebuild_lock);
-        let mut reader = self.cell.reader();
-        let applied = {
-            let snap = reader.pin();
-            snap.index.apply_delta(delta, self.threads)
-        };
-        drop(reader);
-        let (index, stats) = applied.map_err(|e| e.to_string())?;
+        let (index, stats) = self
+            .shared
+            .current()
+            .index
+            .apply_delta(delta, self.threads)
+            .map_err(|e| e.to_string())?;
         let generation = self.next_generation.fetch_add(1, SeqCst);
-        self.cell.publish(IndexSnapshot { generation, index });
+        self.publish(
+            IndexSnapshot { generation, index },
+            stats.applied_edges as u64,
+        );
         self.updates.incr();
         self.update_applied.add(stats.applied_edges as u64);
         self.update_touched.add(stats.touched_vertices as u64);
+        Ok(generation)
+    }
+
+    /// Swaps `snapshot` in as the current index and records the swap
+    /// (`detail` lands in the flight-recorder event). The replaced
+    /// snapshot is dropped after the lock is released, so freeing a
+    /// large index never holds up the dispatcher; a batch still holding
+    /// it frees it when the batch ends instead.
+    fn publish(&self, snapshot: IndexSnapshot, detail: u64) {
+        let generation = snapshot.generation;
+        let replaced = std::mem::replace(&mut *lock(&self.shared.current), Arc::new(snapshot));
+        drop(replaced);
         self.generation_gauge
             .set(generation.min(i64::MAX as u64) as i64);
-        self.recorder
-            .record(EventKind::Swap, stats.applied_edges as u64, generation);
-        Ok(generation)
+        self.recorder.record(EventKind::Swap, detail, generation);
     }
 
     /// Generation of the currently-published snapshot.
     pub fn generation(&self) -> u64 {
-        // Publishes are serialized by `rebuild_lock` and each bumps the
-        // cell epoch by one from its initial 1, so epoch == generation.
-        self.cell.current_epoch()
+        lock(&self.shared.current).generation
     }
 
     /// Per-query latency histogram (queue entry → response delivered).
@@ -496,16 +510,6 @@ impl Server {
     /// trip, if any.
     pub fn watchdog_dump(&self) -> Option<String> {
         self.watchdog.as_ref().and_then(StallWatchdog::last_dump)
-    }
-
-    /// Retired index snapshots not yet reclaimed (0 once every pin has
-    /// moved past them). Reclamation otherwise runs on publish and
-    /// reader teardown, so this sweeps first: a pin that moved on since
-    /// the last publish frees its old snapshot here rather than at the
-    /// next rebuild.
-    pub fn retired_snapshots(&self) -> usize {
-        self.cell.try_reclaim();
-        self.cell.retired_len()
     }
 }
 
@@ -594,11 +598,12 @@ mod tests {
             pscan(&graph_b, ScanParams::new(0.5, 2)).clustering
         );
 
-        // Nothing pinned across the swap by now: the old snapshot is
-        // reclaimable after the post-rebuild batch re-pins.
+        // The batch answering the next query started after every
+        // earlier batch ended, so nothing holds the replaced snapshot:
+        // its index, graph B's only other owner, is freed.
         assert_eq!(server.rebuild(graph_a), 3);
         let _ = server.query(0.5, 2);
-        assert!(server.retired_snapshots() <= 1);
+        assert_eq!(Arc::strong_count(&graph_b), 1);
     }
 
     #[test]

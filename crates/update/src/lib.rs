@@ -8,7 +8,7 @@
 //! changes, don't rebuild, **repair**. A batch of edge edits
 //! ([`GraphDelta`]) is spliced into a fresh CSR and the index is
 //! maintained by localized recomputation
-//! ([`OwnedGsIndex::apply_delta`]); on top of that,
+//! ([`GsIndex::apply_delta`]); on top of that,
 //! [`IncrementalClustering`] maintains a live clustering for one fixed
 //! `(ε, µ)`:
 //!
@@ -38,7 +38,7 @@ use ppscan_core::params::ScanParams;
 use ppscan_core::result::{Clustering, Role, NO_CLUSTER};
 use ppscan_graph::delta::{DeltaError, GraphDelta};
 use ppscan_graph::{CsrGraph, VertexId};
-use ppscan_gsindex::{OwnedGsIndex, UpdateStats};
+use ppscan_gsindex::{GsIndex, UpdateStats};
 use ppscan_obs::Span;
 use ppscan_sched::WorkerPool;
 use std::collections::{HashMap, HashSet};
@@ -67,7 +67,7 @@ pub struct RepairOutcome {
 pub struct IncrementalClustering {
     params: ScanParams,
     pool: WorkerPool,
-    index: OwnedGsIndex,
+    index: GsIndex,
     /// Current role per vertex (true = core at `params`).
     is_core: Vec<bool>,
     /// Union-find forest over cores; noncores stay singleton roots.
@@ -85,7 +85,7 @@ impl IncrementalClustering {
     /// harness can drive every execution strategy through the repair
     /// path.
     pub fn with_pool(graph: Arc<CsrGraph>, params: ScanParams, pool: WorkerPool) -> Self {
-        let index = OwnedGsIndex::build(graph, pool.threads());
+        let index = GsIndex::build(graph, pool.threads());
         let n = index.graph().num_vertices();
         let mut s = Self {
             params,
@@ -95,7 +95,7 @@ impl IncrementalClustering {
             uf: Uf::new(n),
         };
         for u in 0..n as VertexId {
-            s.is_core[u as usize] = s.index.index().is_core(u, params);
+            s.is_core[u as usize] = s.index.is_core(u, params);
         }
         for u in 0..n as VertexId {
             if s.is_core[u as usize] {
@@ -110,7 +110,6 @@ impl IncrementalClustering {
         // `eps_prefix` borrows the index; collect before mutating `uf`.
         let cores: Vec<VertexId> = self
             .index
-            .index()
             .eps_prefix(u, self.params)
             .filter(|&w| self.is_core[w as usize])
             .collect();
@@ -131,7 +130,7 @@ impl IncrementalClustering {
         let new_roles: HashMap<VertexId, bool> = stats
             .affected
             .iter()
-            .map(|&a| (a, new_index.index().is_core(a, p)))
+            .map(|&a| (a, new_index.is_core(a, p)))
             .collect();
         let promoted: Vec<VertexId> = stats
             .affected
@@ -151,8 +150,7 @@ impl IncrementalClustering {
         // and only affected vertices can lose core status — demotions
         // are checked directly, σ drops by walking the old ε-prefixes
         // of the edit endpoints against the new ones.
-        let split_risk =
-            !demoted.is_empty() || self.lost_core_edge(delta, new_index.index(), &new_roles);
+        let split_risk = !demoted.is_empty() || self.lost_core_edge(delta, &new_index, &new_roles);
 
         let mut reset_members = 0usize;
         if !split_risk {
@@ -165,7 +163,7 @@ impl IncrementalClustering {
             }
             for &a in &stats.affected {
                 if new_roles[&a] {
-                    self.swap_index_union(new_index.index(), a);
+                    self.swap_index_union(&new_index, a);
                 }
             }
         } else {
@@ -198,7 +196,7 @@ impl IncrementalClustering {
             seeds.extend(promoted.iter().copied());
             for x in seeds {
                 if self.is_core[x as usize] {
-                    self.swap_index_union(new_index.index(), x);
+                    self.swap_index_union(&new_index, x);
                 }
             }
         }
@@ -215,7 +213,7 @@ impl IncrementalClustering {
 
     /// Unions `u` with every core in its ε-prefix **of the new index**
     /// (self.index still holds the old one while repairing).
-    fn swap_index_union(&mut self, new_index: &ppscan_gsindex::GsIndex<'_>, u: VertexId) {
+    fn swap_index_union(&mut self, new_index: &GsIndex, u: VertexId) {
         let cores: Vec<VertexId> = new_index
             .eps_prefix(u, self.params)
             .filter(|&w| self.is_core[w as usize])
@@ -231,10 +229,10 @@ impl IncrementalClustering {
     fn lost_core_edge(
         &self,
         delta: &GraphDelta,
-        new_index: &ppscan_gsindex::GsIndex<'_>,
+        new_index: &GsIndex,
         new_roles: &HashMap<VertexId, bool>,
     ) -> bool {
-        let old_index = self.index.index();
+        let old_index = &self.index;
         let old_g = self.index.graph();
         let p = self.params;
         let new_core = |x: VertexId| {
@@ -293,7 +291,7 @@ impl IncrementalClustering {
     /// noncore attachments off the ε-prefixes).
     pub fn clustering(&self) -> Clustering {
         let n = self.is_core.len();
-        let idx = self.index.index();
+        let idx = &self.index;
         let mut roles = vec![Role::NonCore; n];
         let mut core_label = vec![NO_CLUSTER; n];
         for u in 0..n as VertexId {
@@ -327,7 +325,7 @@ impl IncrementalClustering {
     }
 
     /// The maintained index.
-    pub fn index(&self) -> &OwnedGsIndex {
+    pub fn index(&self) -> &GsIndex {
         &self.index
     }
 }
@@ -387,10 +385,9 @@ impl Uf {
 mod tests {
     use super::*;
     use ppscan_graph::gen;
-    use ppscan_gsindex::GsIndex;
 
     fn from_scratch(g: &CsrGraph, p: ScanParams) -> Clustering {
-        GsIndex::build(g, 2).query(p)
+        GsIndex::build(Arc::new(g.clone()), 2).query(p)
     }
 
     #[test]

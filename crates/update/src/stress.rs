@@ -1,7 +1,7 @@
 //! Differential stress driver for the incremental update path:
 //! `incremental(G, ΔE) ≡ from_scratch(G + ΔE)` swept over the generator
 //! zoo × execution strategies × batch sizes × seeds. Both layers are
-//! checked per case: the maintained [`OwnedGsIndex`] must answer every
+//! checked per case: the maintained [`GsIndex`] must answer every
 //! `(ε, µ)` in the grid exactly like an index built from scratch on the
 //! edited graph, and [`IncrementalClustering`]'s union-find surgery must
 //! materialize the same clustering as a fresh query.
@@ -25,7 +25,7 @@ use ppscan_core::spine::{self, Case, SweepStats, Unit};
 use ppscan_graph::delta::GraphDelta;
 use ppscan_graph::rng::SplitMix64;
 use ppscan_graph::{gen, CsrGraph, GraphBuilder, VertexId};
-use ppscan_gsindex::{GsIndex, OwnedGsIndex};
+use ppscan_gsindex::GsIndex;
 use ppscan_obs::json::Json;
 use ppscan_obs::RunReport;
 use ppscan_sched::{ExecutionStrategy, WorkerPool};
@@ -417,7 +417,7 @@ pub fn divergence(
 ) -> Option<String> {
     let graph = Arc::new(g.clone());
     let pool = WorkerPool::with_strategy(threads, strategy);
-    let base = OwnedGsIndex::build(Arc::clone(&graph), threads);
+    let base = GsIndex::build(Arc::clone(&graph), threads);
     let (updated, stats) = match base.apply_delta_with(delta, &pool) {
         Ok(x) => x,
         Err(e) => return Some(format!("apply_delta failed: {e}")),
@@ -429,7 +429,7 @@ pub fn divergence(
             delta.len()
         ));
     }
-    let fresh = GsIndex::build(updated.graph(), threads);
+    let fresh = GsIndex::build(Arc::clone(updated.graph()), threads);
     for &(eps, mu) in params {
         let p = ScanParams::new(eps, mu);
         if updated.query(p) != fresh.query(p) {

@@ -9,6 +9,7 @@
 
 use ppscan::gsindex::GsIndex;
 use ppscan::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -16,7 +17,7 @@ fn main() {
     let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(20_000);
     let d: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
 
-    let graph = ppscan::graph::gen::roll(n, d, 7);
+    let graph = Arc::new(ppscan::graph::gen::roll(n, d, 7));
     println!(
         "graph: {} vertices, {} edges",
         graph.num_vertices(),
@@ -25,7 +26,7 @@ fn main() {
 
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     let t0 = Instant::now();
-    let index = GsIndex::build(&graph, threads);
+    let index = GsIndex::build(Arc::clone(&graph), threads);
     let build_time = t0.elapsed();
     println!(
         "index built in {build_time:?} ({:.1} MiB)",

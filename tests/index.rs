@@ -6,11 +6,12 @@ use ppscan::gsindex::GsIndex;
 use ppscan::prelude::*;
 use ppscan_core::verify;
 use ppscan_graph::{gen, io};
+use std::sync::Arc;
 
 #[test]
 fn index_agrees_with_all_algorithms() {
-    let g = gen::planted_partition(4, 22, 0.55, 0.03, 17);
-    let index = GsIndex::build(&g, 2);
+    let g = Arc::new(gen::planted_partition(4, 22, 0.55, 0.03, 17));
+    let index = GsIndex::build(Arc::clone(&g), 2);
     for eps10 in [2u32, 5, 8] {
         for mu in [2usize, 4, 7] {
             let p = ScanParams::new(eps10 as f64 / 10.0, mu);
@@ -33,16 +34,15 @@ fn index_survives_io_roundtrip_of_graph() {
     io::write_binary(&g, &mut buf).unwrap();
     let g2 = io::read_binary(&buf[..]).unwrap();
     // Index built on the reloaded graph answers identically.
-    let a = GsIndex::build(&g, 2);
-    let b = GsIndex::build(&g2, 2);
+    let a = GsIndex::build(Arc::new(g), 2);
+    let b = GsIndex::build(Arc::new(g2), 2);
     let p = ScanParams::new(0.4, 3);
     assert_eq!(a.query(p), b.query(p));
 }
 
 #[test]
 fn index_queries_are_monotone_in_epsilon() {
-    let g = gen::roll(400, 12, 5);
-    let index = GsIndex::build(&g, 2);
+    let index = GsIndex::build(Arc::new(gen::roll(400, 12, 5)), 2);
     let mut last = usize::MAX;
     for eps10 in 1..=9u32 {
         let c = index.query(ScanParams::new(eps10 as f64 / 10.0, 4));
@@ -70,8 +70,8 @@ fn border_vertex_attachment_matches_pscan_in_both_clusters() {
             }
         }
     }
-    let g = b.add_edge(3, 4).add_edge(4, 5).build();
-    let index = GsIndex::build(&g, 2);
+    let g = Arc::new(b.add_edge(3, 4).add_edge(4, 5).build());
+    let index = GsIndex::build(Arc::clone(&g), 2);
 
     // ε = 0.5, µ = 3: vertex 4 is non-core (only 2 ε-similar
     // neighbors) but ε-similar to cores in two different clusters.
@@ -112,7 +112,7 @@ fn border_vertex_attachment_matches_pscan_in_both_clusters() {
 
     // Attachment is deterministic: rebuilding and re-querying yields
     // byte-identical clusterings (noncore pairs are sorted + deduped).
-    let again = GsIndex::build(&g, 3).query(p);
+    let again = GsIndex::build(g, 3).query(p);
     assert_eq!(again, from_index);
 }
 
@@ -148,7 +148,7 @@ fn index_query_equals_pscan_over_generator_zoo() {
 
     let mut rng = 0xDECAF_u64;
     for (name, g) in &zoo {
-        let index = GsIndex::build(g, 2);
+        let index = GsIndex::build(Arc::new(g.clone()), 2);
         let max_mu = index.max_mu();
         // Two seeded-random draws plus the boundary pairs.
         let mut grid = vec![(1.0f64, 1usize), (1.0, max_mu.max(1)), (0.5, 1)];
@@ -176,8 +176,8 @@ fn index_query_equals_pscan_over_generator_zoo() {
 
 #[test]
 fn index_handles_every_mu_up_to_max_degree() {
-    let g = gen::clique_chain(6, 2);
-    let index = GsIndex::build(&g, 1);
+    let g = Arc::new(gen::clique_chain(6, 2));
+    let index = GsIndex::build(Arc::clone(&g), 1);
     for mu in 1..=index.max_mu() + 2 {
         let c = index.query(ScanParams::new(0.5, mu));
         let expect = ppscan_core::pscan::pscan(&g, ScanParams::new(0.5, mu)).clustering;
