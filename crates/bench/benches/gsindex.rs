@@ -1,7 +1,7 @@
 //! Microbenchmarks for the GS*-Index: construction cost (the exhaustive
 //! similarity pass the ppSCAN paper criticizes, §3.3) versus per-query
-//! cost (output-proportional), and the ppSCAN recomputation it competes
-//! with.
+//! cost (one pass over the vertices plus the cores' ε-prefixes), and the
+//! ppSCAN recomputation it competes with.
 //!
 //! Plain `harness = false` binary (no criterion in the hermetic build).
 

@@ -14,22 +14,30 @@ use std::path::Path;
 /// comment lines ignored, arbitrary whitespace separators. Self loops and
 /// duplicate edges are normalized away by the builder.
 ///
-/// The graph is sized by its largest vertex id, so an id the input's
-/// length cannot account for is `InvalidData` rather than an allocation
-/// of that size: the largest id plus one may exceed the bytes read by at
-/// most 2²⁰ (`MAX_RESERVE`). A file with dense ids always passes, since
-/// each line of at least 4 bytes names at most 2 ids.
+/// The graph is sized by its largest vertex id, or by the vertex count
+/// `N` of a first line `# undirected graph: N vertices, M edges` (what
+/// [`write_edge_list`] writes), so trailing isolated vertices survive a
+/// round trip. Other comments, SNAP's `# Nodes:` among them, carry no
+/// size. An id or `N` the input's length cannot account for is
+/// `InvalidData` rather than an allocation of that size: either may
+/// exceed the bytes read by at most 2²⁰ (`MAX_RESERVE`). A file with
+/// dense ids always passes, since each line of at least 4 bytes names at
+/// most 2 ids. An `N` that does not cover every id is `InvalidData` too.
 pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<CsrGraph> {
     let mut builder = GraphBuilder::new();
     let mut bytes_read = 0usize;
-    // The largest id seen and the (0-based) line naming it first.
-    let (mut max_id, mut max_line) = (0 as VertexId, 0usize);
+    let mut header: Option<usize> = None;
+    // The largest id seen plus one, and the (0-based) line naming it first.
+    let (mut id_end, mut max_line) = (0usize, 0usize);
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         // `+ 1` for the newline `lines()` strips.
         bytes_read += line.len() + 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+            if lineno == 0 {
+                header = header_vertices(trimmed);
+            }
             continue;
         }
         let mut it = trimmed.split_whitespace();
@@ -40,25 +48,43 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<CsrGraph> {
         };
         let u = parse(it.next())?;
         let v = parse(it.next())?;
-        if u > max_id {
-            (max_id, max_line) = (u, lineno);
-        }
-        if v > max_id {
-            (max_id, max_line) = (v, lineno);
+        for id in [u, v] {
+            if id as usize >= id_end {
+                (id_end, max_line) = (id as usize + 1, lineno);
+            }
         }
         builder.push_edge(u, v);
     }
-    if max_id as usize + 1 > MAX_RESERVE + bytes_read {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "vertex id {max_id} on line {} is out of proportion to a {}-byte edge list",
-                max_line + 1,
-                bytes_read
-            ),
+    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+    if id_end > MAX_RESERVE + bytes_read {
+        return invalid(format!(
+            "vertex id {} on line {} is out of proportion to a {bytes_read}-byte edge list",
+            id_end - 1,
+            max_line + 1,
         ));
     }
+    if let Some(n) = header {
+        if n > MAX_RESERVE + bytes_read {
+            return invalid(format!(
+                "header of {n} vertices is out of proportion to a {bytes_read}-byte edge list"
+            ));
+        }
+        if n < id_end {
+            return invalid(format!(
+                "vertex id {} on line {} is out of range for the header's {n} vertices",
+                id_end - 1,
+                max_line + 1,
+            ));
+        }
+        builder = builder.ensure_vertices(n);
+    }
     Ok(builder.build())
+}
+
+/// The `N` of a `# undirected graph: N vertices, M edges` line.
+fn header_vertices(line: &str) -> Option<usize> {
+    let rest = line.strip_prefix("# undirected graph: ")?;
+    rest.split_once(" vertices, ")?.0.parse().ok()
 }
 
 fn bad_line(lineno: usize) -> io::Error {
@@ -163,11 +189,36 @@ mod tests {
 
     #[test]
     fn edge_list_roundtrip() {
-        let g = gen::scan_paper_example();
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let g2 = read_edge_list(&buf[..]).unwrap();
-        assert_eq!(g, g2);
+        // The last two graphs end in isolated vertices, which only the
+        // header's vertex count can carry.
+        let trailing = GraphBuilder::new()
+            .add_edge(0, 1)
+            .add_edge(1, 2)
+            .ensure_vertices(6)
+            .build();
+        for g in [gen::scan_paper_example(), trailing, CsrGraph::empty(5)] {
+            let mut buf = Vec::new();
+            write_edge_list(&g, &mut buf).unwrap();
+            let g2 = read_edge_list(&buf[..]).unwrap();
+            assert_eq!(g, g2);
+        }
+    }
+
+    #[test]
+    fn edge_list_rejects_headers_that_lie() {
+        let huge = "# undirected graph: 4294967296 vertices, 1 edges\n0 1\n";
+        let err = read_edge_list(huge.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("header of 4294967296"), "{err}");
+        let short = "# undirected graph: 3 vertices, 2 edges\n0 1\n2 7\n";
+        let err = read_edge_list(short.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("id 7 on line 3"), "{err}");
+        // The header counts only on the first line; SNAP's is a comment.
+        let late = "# SNAP\n# undirected graph: 9 vertices, 1 edges\n0 1\n";
+        assert_eq!(read_edge_list(late.as_bytes()).unwrap().num_vertices(), 2);
+        let snap = "# Nodes: 9 Edges: 1\n0 1\n";
+        assert_eq!(read_edge_list(snap.as_bytes()).unwrap().num_vertices(), 2);
     }
 
     #[test]

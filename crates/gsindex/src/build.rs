@@ -1,5 +1,5 @@
 //! Parallel GS*-Index construction: exhaustive exact similarities (one
-//! SIMD count per undirected edge), neighbor order, core order.
+//! SIMD count per undirected edge), then the neighbor order.
 
 use crate::{GsIndex, SimValue};
 use ppscan_graph::{CsrGraph, VertexId};
@@ -73,58 +73,9 @@ impl GsIndex {
             });
         }
 
-        // Pass 3: core order — for each µ, vertices with d ≥ µ keyed by
-        // σ_µ (the µ-th largest neighbor similarity), sorted descending.
-        let max_d = graph.max_degree();
-        let mut co_offsets = vec![0usize; max_d + 2];
-        for u in 0..n {
-            let d = graph.degree(u as VertexId);
-            for mu in 1..=d {
-                co_offsets[mu + 1] += 1;
-            }
-        }
-        for mu in 1..co_offsets.len() {
-            co_offsets[mu] += co_offsets[mu - 1];
-        }
-        let mut core_order: Vec<(VertexId, u32, u64)> =
-            vec![(0, 0, 1); *co_offsets.last().unwrap_or(&0)];
-        {
-            let mut cursor = co_offsets.clone();
-            for u in 0..n as VertexId {
-                let base = graph.neighbor_range(u).start;
-                let d_u = graph.degree(u);
-                for mu in 1..=d_u {
-                    let (v, c) = neighbor_order[base + mu - 1];
-                    let sv = SimValue::new(c, d_u, graph.degree(v));
-                    core_order[cursor[mu]] = (u, sv.cn, sv.denom);
-                    cursor[mu] += 1;
-                }
-            }
-        }
-        // Sort each µ-slice by descending σ_µ, in parallel over µ.
-        {
-            let mut slices: Vec<&mut [(VertexId, u32, u64)]> = Vec::new();
-            let mut rest: &mut [(VertexId, u32, u64)] = &mut core_order;
-            for mu in 0..=max_d {
-                let len = co_offsets[mu + 1] - co_offsets[mu];
-                let (head, tail) = rest.split_at_mut(len);
-                slices.push(head);
-                rest = tail;
-            }
-            pool.run_mut(&mut slices, |slice| {
-                slice.sort_unstable_by(|&(ua, ca, da), &(ub, cb, db)| {
-                    let sa = SimValue { cn: ca, denom: da };
-                    let sb = SimValue { cn: cb, denom: db };
-                    sb.cmp(&sa).then(ua.cmp(&ub))
-                });
-            });
-        }
-
         GsIndex {
             graph,
             neighbor_order,
-            core_order,
-            co_offsets,
         }
     }
 }
@@ -164,33 +115,27 @@ mod tests {
     }
 
     #[test]
-    fn core_order_slices_are_descending() {
-        let g = Arc::new(gen::roll(120, 8, 3));
-        let idx = GsIndex::build(Arc::clone(&g), 2);
-        for mu in 1..=idx.max_mu() {
-            let slice = &idx.core_order[idx.co_offsets[mu]..idx.co_offsets[mu + 1]];
-            for w in slice.windows(2) {
-                let a = SimValue {
-                    cn: w[0].1,
-                    denom: w[0].2,
-                };
-                let b = SimValue {
-                    cn: w[1].1,
-                    denom: w[1].2,
-                };
-                assert!(a >= b, "core order not descending at mu={mu}");
-            }
-            // Every vertex with degree ≥ µ appears exactly once.
-            let expected = g.vertices().filter(|&u| g.degree(u) >= mu).count();
-            assert_eq!(slice.len(), expected);
-        }
-    }
-
-    #[test]
     fn empty_graph_builds() {
         let idx = GsIndex::build(Arc::new(CsrGraph::empty(4)), 1);
         assert_eq!(idx.max_mu(), 0);
         assert!(idx.heap_bytes() < 1024);
+    }
+
+    #[test]
+    fn index_heap_is_one_entry_per_directed_edge() {
+        // The neighbor order is the index's only per-edge structure; a
+        // per-µ structure beside it would show up here.
+        for g in [
+            gen::roll(120, 8, 3),
+            gen::planted_partition(3, 15, 0.6, 0.05, 1),
+        ] {
+            let g = Arc::new(g);
+            let idx = GsIndex::build(Arc::clone(&g), 2);
+            assert_eq!(
+                idx.heap_bytes(),
+                g.num_directed_edges() * std::mem::size_of::<(VertexId, u32)>() + g.heap_bytes()
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! VLDB'17; discussed in the ppSCAN paper's related work, §3.3): after a
 //! one-time construction pass that computes the *exact* structural
 //! similarity of every edge, clusterings for **arbitrary `(ε, µ)`
-//! parameters** are answered in output-proportional time, with no further
-//! set intersections.
+//! parameters** are answered with no further set intersections: one pass
+//! over the vertices to find the cores, plus a walk of each core's
+//! ε-prefix.
 //!
 //! The ppSCAN paper's criticism — "the indexing phase involves exhaustive
 //! similarity computations, which are prohibitively expensive for massive
@@ -21,10 +22,16 @@
 //!   `cn = |Γ(u) ∩ Γ(v)|`; σ(u,v) = cn/√((d[u]+1)(d[v]+1)) is compared
 //!   exactly in integer arithmetic ([`SimValue`]).
 //! * **Neighbor order** — each vertex's neighbors re-sorted by
-//!   descending σ, so the ε-neighborhood is always a prefix.
-//! * **Core order** — for every µ, the vertices with degree ≥ µ sorted by
-//!   descending µ-th-largest neighbor similarity σ_µ, so the core set for
-//!   any ε is a prefix. Total size Σ_u d[u] = 2|E| entries.
+//!   descending σ, so the ε-neighborhood is always a prefix and `u` is a
+//!   core exactly when its µ-th entry is ε-similar. Total size
+//!   Σ_u d[u] = 2|E| entries.
+//!
+//! GS*-Index also keeps a per-µ *core order* so that a query costs time
+//! proportional to its output. Here the output is a [`Clustering`] with
+//! one role per vertex, so a query is Θ(n) either way; this index skips
+//! that second per-edge structure and its incremental repair.
+//!
+//! [`Clustering`]: ppscan_core::result::Clustering
 //!
 //! An index owns its graph through an `Arc<CsrGraph>`, so it is one
 //! self-contained value: the serving layer publishes and replaces whole
@@ -72,11 +79,6 @@ pub struct GsIndex {
     /// `cn` of that edge. `no[offsets[u]..offsets[u+1]]` is `u`'s
     /// neighborhood sorted by descending σ.
     neighbor_order: Vec<(VertexId, u32)>,
-    /// Flattened core order: `core_order[co_offsets[mu]..co_offsets[mu+1]]`
-    /// lists `(vertex, cn_mu, denom_mu)` sorted by descending σ_µ.
-    core_order: Vec<(VertexId, u32, u64)>,
-    /// Offsets into `core_order`, indexed by µ (entry 0 unused).
-    co_offsets: Vec<usize>,
 }
 
 impl GsIndex {
@@ -125,14 +127,11 @@ impl GsIndex {
 
     /// Approximate heap footprint of index plus graph, in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.neighbor_order.len() * std::mem::size_of::<(VertexId, u32)>()
-            + self.core_order.len() * std::mem::size_of::<(VertexId, u32, u64)>()
-            + self.co_offsets.len() * std::mem::size_of::<usize>()
-            + self.graph.heap_bytes()
+        self.neighbor_order.len() * std::mem::size_of::<(VertexId, u32)>() + self.graph.heap_bytes()
     }
 
     /// Largest µ the index can answer (the maximum degree).
     pub fn max_mu(&self) -> usize {
-        self.co_offsets.len().saturating_sub(2)
+        self.graph.max_degree()
     }
 }

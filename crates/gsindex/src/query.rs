@@ -1,4 +1,5 @@
-//! Output-proportional queries against a built GS*-Index.
+//! Queries against a built GS*-Index: one pass over the vertices finds
+//! the cores, then each core's ε-prefix is walked twice (union, attach).
 
 use crate::{GsIndex, SimValue};
 use ppscan_core::params::ScanParams;
@@ -8,28 +9,17 @@ use ppscan_unionfind::UnionFind;
 
 impl GsIndex {
     /// Answers a `(ε, µ)` clustering query from the index alone — no set
-    /// intersections. Work is proportional to the number of cores plus
-    /// their ε-similar edges.
+    /// intersections. Work is one pass over the vertices plus the cores'
+    /// ε-similar edges.
     pub fn query(&self, params: ScanParams) -> Clustering {
         let g: &CsrGraph = &self.graph;
         let n = g.num_vertices();
         let eps = &params.epsilon;
-        let mu = params.mu;
 
         let mut roles = vec![Role::NonCore; n];
         let mut cores: Vec<VertexId> = Vec::new();
-        // `mu <= self.max_mu()` rather than `mu + 1 < self.co_offsets.len()`:
-        // the two are equivalent for in-range µ, but the addition overflows
-        // for µ near `usize::MAX` (debug panic; wrap-to-0 and out-of-bounds
-        // indexing in release) — a query must stay total for any µ a client
-        // hands the serving path.
-        if mu >= 1 && mu <= self.max_mu() {
-            // Cores are a prefix of the µ-th core order.
-            let slice = &self.core_order[self.co_offsets[mu]..self.co_offsets[mu + 1]];
-            for &(u, cn, denom) in slice {
-                if !(SimValue { cn, denom }).at_least(eps) {
-                    break;
-                }
+        for u in g.vertices() {
+            if self.is_core(u, params) {
                 roles[u as usize] = Role::Core;
                 cores.push(u);
             }
@@ -124,10 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn mu_at_largest_tracked_bucket_matches_pscan() {
-        // µ = max_mu() is the last bucket build.rs lays out
-        // (`co_offsets[mu]..co_offsets[mu + 1]` with len = max_d + 2);
-        // the boundary guard must keep it reachable.
+    fn mu_at_max_degree_matches_pscan() {
+        // µ = max_mu() is the largest µ any vertex can satisfy; the
+        // degree guard in `is_core` must keep it reachable.
         let g = Arc::new(gen::complete(6));
         let idx = GsIndex::build(Arc::clone(&g), 1);
         let mu = idx.max_mu();
@@ -139,8 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn mu_at_bucket_count_yields_empty() {
-        // One past the largest tracked bucket: no vertex has that many
+    fn mu_past_max_degree_yields_empty() {
+        // One past the maximum degree: no vertex has that many
         // neighbors, so the answer is the empty clustering, same as pscan.
         let g = Arc::new(gen::clique_chain(4, 3));
         let idx = GsIndex::build(Arc::clone(&g), 1);
@@ -153,10 +142,9 @@ mod tests {
 
     #[test]
     fn mu_usize_max_does_not_overflow() {
-        // Regression: the old guard computed `mu + 1`, which panics in
-        // debug builds and wraps to 0 in release (passing the bounds
-        // check and indexing out of range) for µ = usize::MAX. A server
-        // accepting untrusted µ must get an empty answer instead.
+        // A server accepting untrusted µ must get an empty answer, not
+        // an overflow or an out-of-range index: `is_core` compares µ
+        // with the degree before it indexes.
         let idx = GsIndex::build(Arc::new(gen::complete(4)), 1);
         for mu in [usize::MAX, usize::MAX - 1, idx.max_mu() + 2] {
             let c = idx.query(ScanParams::new(0.5, mu));

@@ -1,24 +1,24 @@
 //! Incremental GS*-Index maintenance under a [`GraphDelta`].
 //!
 //! A from-scratch build costs one exhaustive similarity pass —
-//! `O(Σ over edges of d[u] + d[v])` SIMD intersections plus two full
-//! sorts. An edge edit invalidates almost none of that work:
+//! `O(Σ over edges of d[u] + d[v])` SIMD intersections plus a full sort
+//! of every neighborhood. An edge edit invalidates almost none of that
+//! work:
 //!
 //! * σ(a, b) depends only on `cn(a, b)` and the endpoint degrees, and
 //!   editing edge `(u, v)` changes `Γ(x)` (and `d[x]`) only for
 //!   `x ∈ {u, v}`. So σ changes **only for edges incident to the
 //!   touched set `T`** (the endpoints of the effective edits).
-//! * A vertex's neighbor order / core-order entries change only if one
-//!   of its incident σ values did — i.e. only for the **affected set
-//!   `A = T ∪ N(T)`**.
+//! * A vertex's neighbor-order slice changes only if one of its incident
+//!   σ values did — i.e. only for the **affected set `A = T ∪ N(T)`**.
 //!
 //! The incremental pass therefore recomputes intersections only for
-//! edges incident to `T` (`update-sim` span), rebuilds and re-sorts
+//! edges incident to `T` (`update-sim` span), and rebuilds and re-sorts
 //! neighbor-order slices only for `A` while block-copying every other
-//! vertex's slice verbatim, and repairs each µ-slice of the core order
-//! by a single merge pass — old entries minus `A` merged with `A`'s
-//! freshly derived entries (`update-roles` span). No global sort, no
-//! global intersection pass.
+//! vertex's slice verbatim (`update-roles` span). No global sort, no
+//! global intersection pass. Roles need no structure of their own: a
+//! vertex's role at any `(ε, µ)` is read off its µ-th neighbor-order
+//! entry, so repairing the slices repairs the roles.
 
 use crate::{GsIndex, SimValue};
 use ppscan_graph::delta::{AppliedDelta, DeltaError, GraphDelta};
@@ -125,10 +125,6 @@ pub(crate) fn incremental(
     }
     affected.sort_unstable();
     affected.dedup();
-    let mut in_a = vec![false; n];
-    for &a in &affected {
-        in_a[a as usize] = true;
-    }
 
     // ---- update-sim: recompute cn only for edges incident to T. ----
     let cn_map: HashMap<(VertexId, VertexId), u32> = {
@@ -151,7 +147,7 @@ pub(crate) fn incremental(
     };
     let recomputed_edges = cn_map.len();
 
-    // ---- update-roles: splice neighbor order, repair core order. ----
+    // ---- update-roles: splice the neighbor order. ----
     let _span = Span::enter("update-roles");
 
     let m2 = g_new.num_directed_edges();
@@ -264,296 +260,10 @@ pub(crate) fn incremental(
         });
     }
 
-    // Core-order events, bucketed by µ: each affected vertex removes the
-    // entries whose stored key changed and adds their replacements — and
-    // *only* those. For `w ∈ A \ T` the degree is unchanged, so the old
-    // and new σ-sorted slices are diffed positionally: a position whose
-    // `(neighbor, cn)` pair is unchanged and whose neighbor kept its
-    // degree (∉ T) stores a bit-identical key and needs no event. This
-    // is what keeps hub-heavy affected sets cheap — a hub adjacent to
-    // one edit re-derives the handful of positions its reordered entry
-    // swept over, not all `d(hub)` of them. Vertices in `T` re-derive
-    // everything (their own degree changed under every key).
-    let max_d_new = g_new.max_degree();
-    let old_max_d = g_old.max_degree();
-    let buckets = max_d_new.max(old_max_d);
-    type Key = (VertexId, u32, u64);
-    type Event = (u32, Key);
-    /// One parallel diff chunk: its vertices, the (µ, key) events they
-    /// emitted (µ-grouped after the pass), and per-µ group offsets.
-    struct Chunk<'c> {
-        verts: &'c [VertexId],
-        rem: Vec<Event>,
-        add: Vec<Event>,
-        rem_off: Vec<u32>,
-        add_off: Vec<u32>,
-    }
-    // Cut the affected set into chunks of roughly equal *volume* (sum of
-    // degrees): the diff walks every position of every vertex, and on a
-    // hub-heavy graph equal-count chunks would leave one worker holding
-    // all the hubs.
-    let chunks: Vec<&[VertexId]> = {
-        let target = affected
-            .iter()
-            .map(|&a| g_new.degree(a))
-            .sum::<usize>()
-            .div_ceil((pool.threads() * 8).max(1))
-            .max(64);
-        let mut out = Vec::new();
-        let (mut start, mut vol) = (0usize, 0usize);
-        for (i, &a) in affected.iter().enumerate() {
-            vol += g_new.degree(a);
-            if vol >= target {
-                out.push(&affected[start..=i]);
-                start = i + 1;
-                vol = 0;
-            }
-        }
-        if start < affected.len() {
-            out.push(&affected[start..]);
-        }
-        out
-    };
-    let mut chunks: Vec<Chunk> = chunks
-        .into_iter()
-        .map(|verts| Chunk {
-            verts,
-            rem: Vec::new(),
-            add: Vec::new(),
-            rem_off: vec![0; buckets + 2],
-            add_off: vec![0; buckets + 2],
-        })
-        .collect();
-    {
-        let no = &neighbor_order;
-        pool.run_mut(&mut chunks, |c| {
-            for &a in c.verts.iter() {
-                let d_old_a = g_old.degree(a);
-                let d_new_a = g_new.degree(a);
-                let ob = g_old.neighbor_range(a).start;
-                let nb = g_new.neighbor_range(a).start;
-                if in_t[a as usize] {
-                    for mu in 1..=d_old_a {
-                        let (v, cn) = old.neighbor_order[ob + mu - 1];
-                        let sv = SimValue::new(cn, d_old_a, g_old.degree(v));
-                        c.rem.push((mu as u32, (a, sv.cn, sv.denom)));
-                    }
-                    for mu in 1..=d_new_a {
-                        let (v, cn) = no[nb + mu - 1];
-                        let sv = SimValue::new(cn, d_new_a, g_new.degree(v));
-                        c.add.push((mu as u32, (a, sv.cn, sv.denom)));
-                    }
-                } else {
-                    for mu in 1..=d_new_a {
-                        let (vo, co) = old.neighbor_order[ob + mu - 1];
-                        let (vn, cn) = no[nb + mu - 1];
-                        if (vo, co) != (vn, cn) || in_t[vo as usize] {
-                            let svo = SimValue::new(co, d_old_a, g_old.degree(vo));
-                            c.rem.push((mu as u32, (a, svo.cn, svo.denom)));
-                            let svn = SimValue::new(cn, d_new_a, g_new.degree(vn));
-                            c.add.push((mu as u32, (a, svn.cn, svn.denom)));
-                        }
-                    }
-                }
-            }
-            // Group by µ and record group offsets, so the per-bucket
-            // gather below can slice this chunk's contribution directly.
-            c.rem.sort_unstable_by_key(|e| e.0);
-            c.add.sort_unstable_by_key(|e| e.0);
-            for &(mu, _) in &c.rem {
-                c.rem_off[mu as usize + 1] += 1;
-            }
-            for &(mu, _) in &c.add {
-                c.add_off[mu as usize + 1] += 1;
-            }
-            for i in 1..c.rem_off.len() {
-                c.rem_off[i] += c.rem_off[i - 1];
-                c.add_off[i] += c.add_off[i - 1];
-            }
-        });
-    }
-    // Gather each µ-bucket from the chunks and sort it into slice order
-    // (descending σ_µ, ascending-id tie break — the exact build-time
-    // order). One task per µ keeps both the gather and the sort parallel.
-    let mut bucket_tasks: Vec<(usize, Vec<Key>, Vec<Key>)> = (0..=buckets)
-        .map(|mu| (mu, Vec::new(), Vec::new()))
-        .collect();
-    {
-        let chunks = &chunks;
-        pool.run_mut(&mut bucket_tasks, |(mu, rem, add)| {
-            let mu = *mu;
-            for c in chunks.iter() {
-                let (rs, re) = (c.rem_off[mu] as usize, c.rem_off[mu + 1] as usize);
-                rem.extend(c.rem[rs..re].iter().map(|&(_, k)| k));
-                let (as_, ae) = (c.add_off[mu] as usize, c.add_off[mu + 1] as usize);
-                add.extend(c.add[as_..ae].iter().map(|&(_, k)| k));
-            }
-            let slice_order = |&(ua, ca, da): &Key, &(ub, cb, db): &Key| {
-                let sa = SimValue { cn: ca, denom: da };
-                let sb = SimValue { cn: cb, denom: db };
-                sb.cmp(&sa).then(ua.cmp(&ub))
-            };
-            rem.sort_unstable_by(slice_order);
-            add.sort_unstable_by(slice_order);
-        });
-    }
-    drop(chunks);
-    let (removed, added): (Vec<Vec<Key>>, Vec<Vec<Key>>) = bucket_tasks
-        .into_iter()
-        .map(|(_, rem, add)| (rem, add))
-        .unzip();
-
-    let old_len_of = |mu: usize| {
-        if mu >= 1 && mu + 1 < old.co_offsets.len() {
-            old.co_offsets[mu + 1] - old.co_offsets[mu]
-        } else {
-            0
-        }
-    };
-    let mut co_offsets = vec![0usize; max_d_new + 2];
-    for mu in 1..=max_d_new {
-        co_offsets[mu + 1] = old_len_of(mu) - removed[mu].len() + added[mu].len();
-    }
-    // µ-slices past the new max degree must drain completely (every
-    // member lost degree, so every entry has a removal event).
-    for (mu, rem) in removed.iter().enumerate().skip(max_d_new + 1) {
-        debug_assert_eq!(old_len_of(mu), rem.len(), "vanishing slice drains");
-    }
-    for mu in 1..co_offsets.len() {
-        co_offsets[mu] += co_offsets[mu - 1];
-    }
-
-    let mut core_order: Vec<Key> = vec![(0, 0, 1); *co_offsets.last().unwrap_or(&0)];
-    {
-        let mut slices: Vec<(usize, &mut [Key])> = Vec::with_capacity(max_d_new + 1);
-        let mut rest: &mut [Key] = &mut core_order;
-        for mu in 0..=max_d_new {
-            let len = co_offsets[mu + 1] - co_offsets[mu];
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push((mu, head));
-            rest = tail;
-        }
-        pool.run_mut(&mut slices, |(mu, out)| {
-            let mu = *mu;
-            let old_slice: &[(VertexId, u32, u64)] = if mu >= 1 && mu + 1 < old.co_offsets.len() {
-                &old.core_order[old.co_offsets[mu]..old.co_offsets[mu + 1]]
-            } else {
-                &[]
-            };
-            let add: &[(VertexId, u32, u64)] = if mu < added.len() { &added[mu] } else { &[] };
-            let rem: &[(VertexId, u32, u64)] = if mu < removed.len() {
-                &removed[mu]
-            } else {
-                &[]
-            };
-            // Slice order: descending σ_µ, ascending-id tie break — the
-            // exact build-time order, total (ids are unique).
-            let pos = |e: &(VertexId, u32, u64)| {
-                old_slice
-                    .binary_search_by(|probe| {
-                        let sp = SimValue {
-                            cn: probe.1,
-                            denom: probe.2,
-                        };
-                        let se = SimValue {
-                            cn: e.1,
-                            denom: e.2,
-                        };
-                        se.cmp(&sp).then(probe.0.cmp(&e.0))
-                    })
-                    .unwrap_or_else(|i| i)
-            };
-            if (rem.len() + add.len()) * 16 >= old_slice.len().max(1) {
-                // Dense repair: the events cover a significant fraction
-                // of the slice, so per-event binary searches would cost
-                // more than one linear merge — drop removals by tuple
-                // equality (both streams are in slice order) and merge
-                // the additions in.
-                let (mut oi, mut ri, mut aj) = (0usize, 0usize, 0usize);
-                for slot in out.iter_mut() {
-                    while oi < old_slice.len() && ri < rem.len() && old_slice[oi] == rem[ri] {
-                        oi += 1;
-                        ri += 1;
-                    }
-                    let take_add = aj < add.len()
-                        && (oi >= old_slice.len() || {
-                            let sa = SimValue {
-                                cn: add[aj].1,
-                                denom: add[aj].2,
-                            };
-                            let so = SimValue {
-                                cn: old_slice[oi].1,
-                                denom: old_slice[oi].2,
-                            };
-                            // σ-descending, ascending-id tie break —
-                            // the add entry goes first iff it sorts
-                            // strictly before the old one.
-                            sa.cmp(&so).then(old_slice[oi].0.cmp(&add[aj].0)).is_gt()
-                        });
-                    *slot = if take_add {
-                        aj += 1;
-                        add[aj - 1]
-                    } else {
-                        oi += 1;
-                        old_slice[oi - 1]
-                    };
-                }
-                while oi < old_slice.len() && ri < rem.len() && old_slice[oi] == rem[ri] {
-                    oi += 1;
-                    ri += 1;
-                }
-                debug_assert_eq!(oi, old_slice.len(), "old slice consumed (mu={mu})");
-                debug_assert_eq!(ri, rem.len(), "every removal matched (mu={mu})");
-                debug_assert_eq!(aj, add.len(), "every fresh entry placed (mu={mu})");
-                return;
-            }
-            // Sparse splice: copy the old slice in runs, dropping each
-            // removed entry at its binary-searched position and
-            // inserting each fresh entry at its lower bound.
-            // Equal-position events are safe in either order: an
-            // insertion key can only collide with a *removed* old entry
-            // (same id ⇒ affected), and multiple insertions at one
-            // position arrive pre-sorted. Cost is
-            // O((|rem| + |add|) log |old|) searches plus pure memcpy,
-            // not a pass over the whole slice.
-            let (mut oi, mut ri, mut ai, mut out_i) = (0usize, 0usize, 0usize, 0usize);
-            loop {
-                let rpos = rem.get(ri).map(&pos).unwrap_or(usize::MAX);
-                let apos = add.get(ai).map(&pos).unwrap_or(usize::MAX);
-                if rpos == usize::MAX && apos == usize::MAX {
-                    break;
-                }
-                let next = rpos.min(apos);
-                let run = next - oi;
-                out[out_i..out_i + run].copy_from_slice(&old_slice[oi..next]);
-                out_i += run;
-                oi = next;
-                if apos <= rpos {
-                    out[out_i] = add[ai];
-                    out_i += 1;
-                    ai += 1;
-                } else {
-                    debug_assert!(
-                        in_a[old_slice[oi].0 as usize],
-                        "only affected entries are dropped (mu={mu})"
-                    );
-                    oi += 1;
-                    ri += 1;
-                }
-            }
-            let tail = old_slice.len() - oi;
-            out[out_i..out_i + tail].copy_from_slice(&old_slice[oi..]);
-            debug_assert_eq!(out_i + tail, out.len(), "slice length adds up (mu={mu})");
-            debug_assert_eq!(ai, add.len(), "every fresh entry placed (mu={mu})");
-        });
-    }
-
     (
         GsIndex {
             graph,
             neighbor_order,
-            core_order,
-            co_offsets,
         },
         UpdateStats {
             applied_edges: inserted.len() + deleted.len(),
@@ -612,11 +322,10 @@ mod tests {
         delta
     }
 
-    /// Structural equality with a from-scratch build: same offsets, same
-    /// per-vertex neighbor-order multisets (σ ties may order freely, so
-    /// compare sorted copies), same per-µ core-order multisets.
+    /// Structural equality with a from-scratch build: same per-vertex
+    /// neighbor-order multisets (σ ties may order freely, so compare
+    /// sorted copies).
     fn assert_index_equivalent(inc: &GsIndex, fresh: &GsIndex) {
-        assert_eq!(inc.co_offsets, fresh.co_offsets, "co_offsets diverged");
         let g = &fresh.graph;
         for u in g.vertices() {
             let r = g.neighbor_range(u);
@@ -625,14 +334,6 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "neighbor order diverged at vertex {u}");
-        }
-        for mu in 1..fresh.co_offsets.len().saturating_sub(1) {
-            let r = fresh.co_offsets[mu]..fresh.co_offsets[mu + 1];
-            let mut a = inc.core_order[r.clone()].to_vec();
-            let mut b = fresh.core_order[r].to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "core order diverged at mu={mu}");
         }
     }
 
@@ -692,9 +393,8 @@ mod tests {
     }
 
     #[test]
-    fn degree_growth_and_shrink_resize_core_order() {
-        // Push max degree up past the old bucket count and back down:
-        // co_offsets must grow and shrink with it.
+    fn degree_growth_and_shrink_track_max_mu() {
+        // Push max degree up and back down: max_mu must follow it.
         let g = gen::path(8); // max degree 2
         let index = GsIndex::build(Arc::new(g), 1);
         assert_eq!(index.max_mu(), 2);
@@ -704,6 +404,7 @@ mod tests {
         }
         let (grown, _) = index.apply_delta(&grow, 1).unwrap();
         assert_eq!(grown.max_mu(), grown.graph().max_degree());
+        assert_eq!(grown.max_mu(), 7, "vertex 0: neighbor 1 plus 2..=7");
         assert_index_equivalent(&grown, &GsIndex::build(Arc::clone(grown.graph()), 1));
 
         let mut shrink = GraphDelta::new();

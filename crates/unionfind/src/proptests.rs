@@ -1,40 +1,27 @@
 //! Randomized property tests: both union-find variants must produce
 //! identical partitions for identical union sequences, sequentially and
-//! under thread interleavings.
-//!
-//! Formerly `proptest`-based; now driven by a seeded SplitMix64 loop so
-//! the crate builds with no external dependencies (the crate is a leaf,
-//! so the mixer is duplicated here; see `ppscan-graph/src/rng.rs`).
+//! under thread interleavings. Driven by seeded
+//! `ppscan_graph::rng::SplitMix64` streams (a dev-dependency only).
 
 use crate::{ConcurrentUnionFind, UnionFind};
+use ppscan_graph::rng::SplitMix64;
 
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn index(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
-fn pairs(rng: &mut Rng, n: u32, max_ops: usize) -> Vec<(u32, u32)> {
-    let len = rng.index(max_ops + 1);
+fn pairs(rng: &mut SplitMix64, n: u32, max_ops: usize) -> Vec<(u32, u32)> {
+    let len = rng.gen_index(max_ops + 1);
     (0..len)
-        .map(|_| (rng.index(n as usize) as u32, rng.index(n as usize) as u32))
+        .map(|_| {
+            (
+                rng.gen_index(n as usize) as u32,
+                rng.gen_index(n as usize) as u32,
+            )
+        })
         .collect()
 }
 
 #[test]
 fn concurrent_matches_sequential_single_thread() {
     for seed in 0..64u64 {
-        let mut rng = Rng(0x0f1d_0000 ^ seed);
+        let mut rng = SplitMix64::seed_from_u64(0x0f1d_0000 ^ seed);
         let ops = pairs(&mut rng, 64, 200);
         let mut seq = UnionFind::new(64);
         let conc: ConcurrentUnionFind = ConcurrentUnionFind::new(64);
@@ -57,7 +44,7 @@ fn concurrent_matches_sequential_single_thread() {
 #[test]
 fn concurrent_matches_sequential_two_threads() {
     for seed in 0..64u64 {
-        let mut rng = Rng(0x2f2d_0000 ^ seed);
+        let mut rng = SplitMix64::seed_from_u64(0x2f2d_0000 ^ seed);
         let ops = pairs(&mut rng, 48, 300);
         let conc: ConcurrentUnionFind = ConcurrentUnionFind::new(48);
         let mid = ops.len() / 2;
@@ -94,7 +81,7 @@ fn canonical_labels_invariant_under_argument_order_and_thread_count() {
     // exhaustively on a bounded scenario — `union-race-2t` — while this
     // sweeps larger random instances.)
     for seed in 0..32u64 {
-        let mut rng = Rng(0x4a5b_0000 ^ seed);
+        let mut rng = SplitMix64::seed_from_u64(0x4a5b_0000 ^ seed);
         let ops = pairs(&mut rng, 40, 250);
 
         // Reference: sequential, original argument order.
@@ -145,16 +132,16 @@ fn canonical_labels_invariant_under_argument_order_and_thread_count() {
 #[test]
 fn same_set_is_an_equivalence() {
     for seed in 0..64u64 {
-        let mut rng = Rng(0x3e3e_0000 ^ seed);
+        let mut rng = SplitMix64::seed_from_u64(0x3e3e_0000 ^ seed);
         let ops = pairs(&mut rng, 32, 100);
         let conc: ConcurrentUnionFind = ConcurrentUnionFind::new(32);
         for &(u, v) in &ops {
             conc.union(u, v);
         }
         let (a, b, c) = (
-            rng.index(32) as u32,
-            rng.index(32) as u32,
-            rng.index(32) as u32,
+            rng.gen_index(32) as u32,
+            rng.gen_index(32) as u32,
+            rng.gen_index(32) as u32,
         );
         // Reflexive, symmetric, transitive.
         assert!(conc.is_same_set(a, a));

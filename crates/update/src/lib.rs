@@ -286,9 +286,9 @@ impl IncrementalClustering {
         false
     }
 
-    /// Materializes the maintained clustering (output-proportional, like
-    /// an index query: roles and labels are read off the live state,
-    /// noncore attachments off the ε-prefixes).
+    /// Materializes the maintained clustering (one pass over the
+    /// vertices, like an index query: roles and labels are read off the
+    /// live state, noncore attachments off the ε-prefixes).
     pub fn clustering(&self) -> Clustering {
         let n = self.is_core.len();
         let idx = &self.index;

@@ -718,8 +718,8 @@ mod tests {
     #[test]
     fn hot_delta_differential_across_strategies() {
         // The localized-workload analogue of the main sweep, kept small:
-        // the rev-index splice and positional core-order diff both take
-        // their fast paths here, so a bug in either diverges loudly.
+        // the rev-index splice and the sparse neighbor-order repair both
+        // take their fast paths here, so a bug in either diverges loudly.
         for family in [0usize, 3, 9] {
             let g = zoo_graph(family, 11);
             for batch in [4usize, 24] {

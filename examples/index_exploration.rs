@@ -1,6 +1,6 @@
 //! Index-backed parameter exploration: build a GS*-Index-style
-//! similarity index once, then answer any `(ε, µ)` clustering query in
-//! output-proportional time — the alternative the ppSCAN paper's related
+//! similarity index once, then answer any `(ε, µ)` clustering query with
+//! no set intersections — the alternative the ppSCAN paper's related
 //! work (§3.3) weighs against fast recomputation.
 //!
 //! ```sh

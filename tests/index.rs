@@ -5,6 +5,7 @@
 use ppscan::gsindex::GsIndex;
 use ppscan::prelude::*;
 use ppscan_core::verify;
+use ppscan_graph::rng::SplitMix64;
 use ppscan_graph::{gen, io};
 use std::sync::Arc;
 
@@ -121,14 +122,6 @@ fn border_vertex_attachment_matches_pscan_in_both_clusters() {
 /// always includes the ε = 1.0 and µ = 1 extremes.
 #[test]
 fn index_query_equals_pscan_over_generator_zoo() {
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     let zoo: Vec<(&str, ppscan_graph::CsrGraph)> = vec![
         ("roll", gen::roll(220, 8, 3)),
         ("rmat", gen::rmat_social(7, 6, 5)),
@@ -146,15 +139,15 @@ fn index_query_equals_pscan_over_generator_zoo() {
         ("scan_paper_example", gen::scan_paper_example()),
     ];
 
-    let mut rng = 0xDECAF_u64;
+    let mut rng = SplitMix64::seed_from_u64(0xDECAF);
     for (name, g) in &zoo {
         let index = GsIndex::build(Arc::new(g.clone()), 2);
         let max_mu = index.max_mu();
         // Two seeded-random draws plus the boundary pairs.
         let mut grid = vec![(1.0f64, 1usize), (1.0, max_mu.max(1)), (0.5, 1)];
         for _ in 0..2 {
-            let eps = 0.05 + (splitmix64(&mut rng) % 95) as f64 / 100.0;
-            let mu = 1 + (splitmix64(&mut rng) as usize) % (max_mu + 2);
+            let eps = 0.05 + (rng.next_u64() % 95) as f64 / 100.0;
+            let mu = 1 + rng.gen_index(max_mu + 2);
             grid.push((eps, mu));
         }
         for (eps, mu) in grid {
