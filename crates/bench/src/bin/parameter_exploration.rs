@@ -4,7 +4,8 @@
 //! fast recomputation (ppSCAN) as the better way to explore parameters.
 //! This harness quantifies the trade-off: index build cost, per-query
 //! cost from the index, per-query cost of a fresh ppSCAN run, and the
-//! break-even query count.
+//! break-even query count. Index queries and ppSCAN runs get the same
+//! number of threads.
 //!
 //! ```sh
 //! cargo run --release -p ppscan-bench --bin parameter_exploration -- [--scale 1.0]
@@ -13,6 +14,7 @@
 use ppscan_bench::{best_of, secs, HarnessArgs, Table};
 use ppscan_core::ppscan::{ppscan, PpScanConfig};
 use ppscan_gsindex::GsIndex;
+use ppscan_sched::WorkerPool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,6 +22,7 @@ fn main() {
     let args = HarnessArgs::parse();
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let cfg = PpScanConfig::with_threads(threads);
+    let pool = WorkerPool::new(threads);
 
     let mut table = Table::new(&[
         "dataset",
@@ -44,7 +47,7 @@ fn main() {
         let mut pp_total = Duration::ZERO;
         for &(eps, mu) in &grid {
             let p = ppscan_core::params::ScanParams::new(eps, mu);
-            let (tq, idx_result) = best_of(|| index.query(p));
+            let (tq, idx_result) = best_of(|| index.query_with(p, &pool));
             idx_total += tq;
             let (tr, pp_result) = best_of(|| ppscan(&g, p, &cfg));
             pp_total += tr;

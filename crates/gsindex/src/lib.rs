@@ -4,9 +4,12 @@
 //! VLDB'17; discussed in the ppSCAN paper's related work, §3.3): after a
 //! one-time construction pass that computes the *exact* structural
 //! similarity of every edge, clusterings for **arbitrary `(ε, µ)`
-//! parameters** are answered with no further set intersections: one pass
-//! over the vertices to find the cores, plus a walk of each core's
-//! ε-prefix.
+//! parameters** are answered with no further set intersections, in three
+//! parallel passes ([`GsIndex::query_with`]): a core filter over the
+//! vertices, one walk of each core's ε-prefix that unions core–core
+//! edges in ppSCAN's wait-free union-find and collects the non-core
+//! attachments, and cluster labels read off the union-find roots, which
+//! are canonical (minimum core id) by construction.
 //!
 //! The ppSCAN paper's criticism — "the indexing phase involves exhaustive
 //! similarity computations, which are prohibitively expensive for massive
@@ -71,7 +74,8 @@ pub type OwnedGsIndex = GsIndex;
 /// The similarity index, owning (a shared handle to) the graph it
 /// indexes, so an index is one droppable unit the serving layer can
 /// publish and replace. Build once with [`GsIndex::build`], query any
-/// number of times with [`GsIndex::query`].
+/// number of times with [`GsIndex::query`] (one thread) or
+/// [`GsIndex::query_with`] (across a pool).
 pub struct GsIndex {
     graph: Arc<CsrGraph>,
     /// Per directed CSR slot (in *neighbor-order*, not CSR order): the

@@ -98,6 +98,12 @@ fn main() {
     let queries: usize = parse_or_exit(flag("--queries").unwrap_or("100"), "--queries");
     let watchdog_secs: u64 =
         parse_or_exit(flag("--watchdog-secs").unwrap_or("5"), "--watchdog-secs");
+    for (name, value) in [("--threads", threads), ("--batch", batch)] {
+        if value == 0 {
+            eprintln!("{name} must be at least 1\n{}", usage());
+            exit(2);
+        }
+    }
 
     let graph: CsrGraph = {
         let result = if path.ends_with(".bin") {

@@ -9,10 +9,11 @@
 //! index refreshes that run alongside the queries.
 //!
 //! * [`server`] — [`server::Server`]: an in-process request queue, a
-//!   dispatcher that executes batches on a `ppscan-sched`
-//!   [`WorkerPool`](ppscan_sched::WorkerPool) against one index snapshot
-//!   per batch, per-query `ppscan-obs` spans, and a lock-free latency
-//!   histogram (p50/p99/p999) for run reports. The index is published
+//!   dispatcher that runs each batch's queries in FIFO order against
+//!   one index snapshot per batch, each query split across a
+//!   `ppscan-sched` [`WorkerPool`](ppscan_sched::WorkerPool), per-query
+//!   `ppscan-obs` spans, and a lock-free latency histogram
+//!   (p50/p99/p999) for run reports. The index is published
 //!   as an `Arc` behind a `Mutex`: the dispatcher clones it once per
 //!   batch, and a rebuild or update swaps it.
 //!

@@ -1,6 +1,6 @@
 //! The serving loop: a dispatcher thread drains an in-process request
-//! queue into batches, takes one index snapshot per batch, and fans the
-//! batch out across a [`WorkerPool`].
+//! queue into batches, takes one index snapshot per batch, and runs the
+//! batch's queries in FIFO order, each across a [`WorkerPool`].
 //!
 //! Threading model:
 //!
@@ -10,8 +10,9 @@
 //! * **One dispatcher** owns the pool. It clones the current
 //!   `Arc<IndexSnapshot>` *once per batch* (a reference-count increment
 //!   under an uncontended lock) and holds it until the batch ends — the
-//!   per-query path inside the pool shares the `&` reference and never
-//!   touches the lock.
+//!   queries share the `&` reference and never touch the lock. Each
+//!   query is one [`GsIndex::query_with`] across the whole pool, so a
+//!   one-query batch still uses every worker.
 //! * **Rebuilds and updates** ([`Server::rebuild`], [`Server::update`])
 //!   happen on the calling thread: build the new index outside the
 //!   lock, then swap the `Arc` under it. Publishing never waits for
@@ -31,8 +32,11 @@
 //!   serving gauges (`serve.queue_depth`, `serve.in_flight`,
 //!   `serve.batch_size`, `serve.generation`), counters (`serve.queries`,
 //!   `serve.batches`, `serve.slow_queries`, `serve.rebuilds`,
-//!   `serve.watchdog_trips`), the `serve.latency` histogram, and the
-//!   query pool's `pool.*` family ([`ppscan_sched::PoolMetrics`]).
+//!   `serve.watchdog_trips`), the `serve.latency` histogram split into
+//!   `serve.queue_wait` (enqueue to the query's own start, which in a
+//!   FIFO batch includes the queries ahead of it) plus `serve.exec`
+//!   (start to answer), and the query pool's `pool.*` family
+//!   ([`ppscan_sched::PoolMetrics`]).
 //!   Sample it any time with [`Server::metrics_snapshot`].
 //! * A [`FlightRecorder`] ring of recent structured events (enqueue,
 //!   batch-start/end, swap, slow-query) sized by
@@ -59,18 +63,24 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
 /// Configuration for [`Server::start`].
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Worker threads in the query pool (also used for index builds).
+    /// Worker threads in the query pool: each query runs across all of
+    /// them (also used for index builds).
     pub threads: usize,
-    /// Largest number of queued queries executed against one snapshot.
+    /// Largest number of queued queries executed, one after another,
+    /// against one snapshot.
     pub max_batch: usize,
     /// Execution strategy for the query pool. `AdversarialSeeded` turns
     /// the serving path into a schedule-perturbed stress harness.
@@ -237,6 +247,8 @@ impl Server {
 
         let metrics = Arc::new(MetricsRegistry::new());
         let hist = metrics.histogram("serve.latency");
+        let queue_wait = metrics.histogram("serve.queue_wait");
+        let exec = metrics.histogram("serve.exec");
         let queries = metrics.counter("serve.queries");
         let batches = metrics.counter("serve.batches");
         let slow_queries = metrics.counter("serve.slow_queries");
@@ -312,16 +324,16 @@ impl Server {
                         if let Some(hook) = &batch_hook {
                             hook(batch_ordinal);
                         }
-                        let hist = &hist;
-                        let recorder = &recorder;
-                        let queries = &queries;
-                        let slow_queries = &slow_queries;
-                        pool.run_mut(&mut batch, move |job| {
+                        // FIFO, each query across the whole pool.
+                        for job in &batch {
                             let _span = Span::enter("serve-query");
+                            let started = Instant::now();
                             let result = ScanParams::checked(job.eps, job.mu)
-                                .map(|params| snap.index.query(params));
-                            let latency =
-                                job.enqueued.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                                .map(|params| snap.index.query_with(params, &pool));
+                            let answered = Instant::now();
+                            let latency = nanos(answered - job.enqueued);
+                            queue_wait.record(nanos(started - job.enqueued));
+                            exec.record(nanos(answered - started));
                             hist.record(latency);
                             queries.incr();
                             if slow_query_nanos > 0 && latency >= slow_query_nanos {
@@ -334,7 +346,7 @@ impl Server {
                             };
                             *lock(&job.slot.filled) = Some(response);
                             job.slot.cv.notify_all();
-                        });
+                        }
                         recorder.record(EventKind::BatchEnd, batch.len() as u64, snap.generation);
                         in_flight.set(0);
                         batches.incr();
@@ -566,19 +578,54 @@ mod tests {
 
     #[test]
     fn a_burst_larger_than_max_batch_is_fully_answered() {
+        // Multi-query batches run back to back across the pool; every
+        // answer must still be exactly pscan's.
+        let graph = test_graph();
+        let expected: Vec<Clustering> = (1..=4)
+            .map(|mu| pscan(&graph, ScanParams::new(0.5, mu)).clustering)
+            .collect();
         let server = Server::start(
-            test_graph(),
+            graph,
             ServeConfig {
                 max_batch: 8,
                 ..ServeConfig::default()
             },
         );
         let tickets: Vec<Ticket> = (0..100).map(|i| server.submit(0.5, 1 + i % 4)).collect();
-        for ticket in tickets {
-            assert!(ticket.wait().result.is_ok());
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            assert_eq!(ticket.wait().result.unwrap(), expected[i % 4], "query {i}");
         }
         assert_eq!(server.queries_served(), 100);
         assert_eq!(server.latency().count(), 100);
+    }
+
+    #[test]
+    fn latency_splits_into_queue_wait_and_exec() {
+        let server = Server::start(
+            test_graph(),
+            ServeConfig {
+                max_batch: 4,
+                ..ServeConfig::default()
+            },
+        );
+        let tickets: Vec<Ticket> = (0..20).map(|i| server.submit(0.5, 1 + i % 3)).collect();
+        for ticket in tickets {
+            assert!(ticket.wait().result.is_ok());
+        }
+        let snap = server.metrics_snapshot();
+        let [latency, wait, exec] =
+            ["serve.latency", "serve.queue_wait", "serve.exec"].map(|name| {
+                snap.histogram(name)
+                    .unwrap_or_else(|| panic!("{name} not registered"))
+                    .clone()
+            });
+        for h in [&latency, &wait, &exec] {
+            assert_eq!(h.count, 20);
+        }
+        // Both parts are cut at the same instants as the whole, so
+        // their sums add up to it.
+        let closure = wait.mean_nanos + exec.mean_nanos - latency.mean_nanos;
+        assert!(closure.abs() < 1.0, "split is off by {closure} ns");
     }
 
     #[test]
@@ -668,7 +715,7 @@ mod tests {
     #[test]
     fn serving_under_race_detection_is_clean() {
         // The full serving path — concurrent clients, the dispatcher's
-        // batch fan-out through the query pool, and a mid-stream
+        // queries through the query pool, and a mid-stream
         // rebuild/publish — under an active detection session. The pool
         // contributes fork/join/steal edges and every traced access in
         // the query pipeline is checked; any unordered pair would land

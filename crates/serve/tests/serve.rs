@@ -40,8 +40,8 @@ fn answers(g: &CsrGraph) -> HashMap<(u64, usize), Clustering> {
 /// Clients hammer the server while the main thread swaps the index back
 /// and forth between two distinguishable graphs. Every response must
 /// match the ground truth of exactly the generation it claims — under an
-/// adversarial pool schedule, so task interleavings inside each batch
-/// are perturbed too.
+/// adversarial pool schedule, which perturbs the order of each query's
+/// tasks.
 #[test]
 fn responses_are_coherent_across_live_swaps() {
     let a = graph_a();
