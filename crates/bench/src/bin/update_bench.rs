@@ -15,7 +15,7 @@
 //!
 //! The run reports are diffable across machines with `report_check
 //! --check-runs`: the phase list ([`PHASE_ORDER`], captured from one
-//! [`IncrementalClustering::apply`]) is structural with wall shares
+//! traced [`GsIndex::apply_delta_with`]) is structural with wall shares
 //! zeroed, and the `config` extra pins the *deterministic* update stats
 //! (applied / touched / recomputed counts) into the run identity — a
 //! touched-set derivation change shows up as a missing + extra run, not
@@ -32,7 +32,6 @@
 //! (the acceptance gate runs this at `--runs 9 --min-speedup 5`).
 
 use ppscan_bench::{best_of_n, emit_report, figure_report, HarnessArgs, Table};
-use ppscan_core::params::ScanParams;
 use ppscan_graph::datasets::roll_suite;
 use ppscan_graph::delta::GraphDelta;
 use ppscan_graph::CsrGraph;
@@ -42,7 +41,6 @@ use ppscan_obs::report::PhaseMetrics;
 use ppscan_obs::{Collector, RunReport};
 use ppscan_sched::WorkerPool;
 use ppscan_update::stress::{hot_delta, random_delta, BatchSpec};
-use ppscan_update::IncrementalClustering;
 use std::sync::Arc;
 
 /// Edge budget for the ROLL suite at `--scale 1.0` (the bench uses the
@@ -53,15 +51,11 @@ const EDGE_BUDGET: f64 = 1_000_000.0;
 /// are independent but reproducible.
 const DELTA_SEED: u64 = 0x00ed_beac_0000;
 
-/// `(ε, µ)` for the cluster-repair phase capture.
-const EPS: f64 = 0.4;
-const MU: usize = 3;
-
-/// Canonical phase order for the emitted reports. All three are
+/// Canonical phase order for the emitted reports. Both are
 /// machine-dependent wall times, so their shares are zeroed — the
 /// regression surface is the phase *list* plus the deterministic update
 /// stats pinned into each run's `config` identity.
-const PHASE_ORDER: [&str; 3] = ["update-sim", "update-roles", "update-clusters"];
+const PHASE_ORDER: [&str; 2] = ["update-sim", "update-roles"];
 
 fn normalize_phases(stages: Vec<PhaseMetrics>) -> Vec<PhaseMetrics> {
     PHASE_ORDER
@@ -148,20 +142,12 @@ fn main() {
                     GsIndex::build(Arc::new(applied.graph), threads)
                 });
 
-                // Phase capture: one cluster repair over the same batch.
-                // The live clustering is set up untimed (it is server
-                // state, like the base index) and only `apply` runs
-                // traced.
-                let mut inc = IncrementalClustering::with_pool(
-                    Arc::clone(&graph),
-                    ScanParams::new(EPS, MU),
-                    WorkerPool::new(threads),
-                );
+                // Phase capture: one more apply of the same batch, traced.
                 let collector = Collector::new();
                 let guard = collector.activate();
-                let outcome = inc.apply(&delta).expect("valid delta");
+                let (_, traced) = base.apply_delta_with(&delta, &pool).expect("valid delta");
                 drop(guard);
-                assert_eq!(outcome.stats, stats, "repair saw the same update");
+                assert_eq!(traced, stats, "traced apply saw the same update");
 
                 let speedup = scratch.as_secs_f64() / incr.as_secs_f64().max(1e-12);
                 if workload == "hot" {
@@ -172,7 +158,6 @@ fn main() {
                     .with_dataset(name.as_str())
                     .with_threads(threads)
                     .with_strategy("parallel")
-                    .with_params(EPS, MU as u64)
                     .with_graph(graph.num_vertices() as u64, graph.num_edges() as u64);
                 run.wall_nanos = incr.as_nanos() as u64;
                 run.phases = normalize_phases(RunReport::phases_from(&collector.snapshot()));

@@ -76,6 +76,12 @@ pub type OwnedGsIndex = GsIndex;
 /// publish and replace. Build once with [`GsIndex::build`], query any
 /// number of times with [`GsIndex::query`] (one thread) or
 /// [`GsIndex::query_with`] (across a pool).
+///
+/// Equality is bitwise: same graph and same neighbor order. Every slice
+/// is totally ordered (descending σ, then ascending id), so an index
+/// repaired by [`GsIndex::apply_delta`] equals a fresh build of the
+/// edited graph.
+#[derive(PartialEq, Eq)]
 pub struct GsIndex {
     graph: Arc<CsrGraph>,
     /// Per directed CSR slot (in *neighbor-order*, not CSR order): the
@@ -92,16 +98,14 @@ impl GsIndex {
     }
 
     /// The σ-descending `(neighbor, cn)` entries of `u` — the slice the
-    /// ε-prefix walks. Exposed for the incremental re-clustering layer
-    /// (`ppscan-update`), which re-derives roles and repairs clusters
-    /// from prefixes without re-running any intersection.
-    pub fn neighbor_entries(&self, u: VertexId) -> &[(VertexId, u32)] {
+    /// ε-prefix walks.
+    fn neighbor_entries(&self, u: VertexId) -> &[(VertexId, u32)] {
         &self.neighbor_order[self.graph.neighbor_range(u)]
     }
 
     /// Exact σ of one of `u`'s entries (as returned by
     /// [`neighbor_entries`](Self::neighbor_entries)).
-    pub fn entry_sim(&self, u: VertexId, entry: (VertexId, u32)) -> SimValue {
+    fn entry_sim(&self, u: VertexId, entry: (VertexId, u32)) -> SimValue {
         SimValue::new(entry.1, self.graph.degree(u), self.graph.degree(entry.0))
     }
 
@@ -114,19 +118,6 @@ impl GsIndex {
         }
         let entry = self.neighbor_entries(u)[params.mu - 1];
         self.entry_sim(u, entry).at_least(&params.epsilon)
-    }
-
-    /// The ε-similar neighbors of `u` — its ε-prefix, in descending σ.
-    pub fn eps_prefix(
-        &self,
-        u: VertexId,
-        params: ppscan_core::params::ScanParams,
-    ) -> impl Iterator<Item = VertexId> + '_ {
-        self.neighbor_entries(u)
-            .iter()
-            .copied()
-            .take_while(move |&e| self.entry_sim(u, e).at_least(&params.epsilon))
-            .map(|(v, _)| v)
     }
 
     /// Approximate heap footprint of index plus graph, in bytes.

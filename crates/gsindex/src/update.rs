@@ -29,10 +29,9 @@ use ppscan_sched::WorkerPool;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What an incremental apply actually did — the counters the serving
+/// What an incremental apply actually did: the counters the serving
 /// layer exports as `update.applied_edges` / `update.touched_vertices`,
-/// plus the affected set itself for layers (cluster repair) that need
-/// to know *which* vertices may have changed role.
+/// and that `update_bench` pins into its run identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Undirected edges actually inserted or deleted (no-ops excluded).
@@ -42,10 +41,6 @@ pub struct UpdateStats {
     /// Undirected edges whose intersection was recomputed (all edges
     /// incident to `T` in the new graph).
     pub recomputed_edges: usize,
-    /// The affected set `A = T ∪ N(T)` itself, sorted. Only vertices in
-    /// here can have a different role or σ-prefix than before the
-    /// apply; everything else is bit-identical.
-    pub affected: Vec<VertexId>,
 }
 
 impl GsIndex {
@@ -69,33 +64,25 @@ impl GsIndex {
         delta: &GraphDelta,
         pool: &WorkerPool,
     ) -> Result<(GsIndex, UpdateStats), DeltaError> {
-        let AppliedDelta {
-            graph,
-            inserted,
-            deleted,
-        } = delta.apply_to(&self.graph)?;
-        Ok(incremental(
-            self,
-            Arc::new(graph),
-            &inserted,
-            &deleted,
-            pool,
-        ))
+        Ok(incremental(self, delta.apply_to(&self.graph)?, pool))
     }
 }
 
-/// Rebuilds the index over `graph` reusing everything `old` computed
-/// that the edits cannot have invalidated. `inserted`/`deleted` are the
-/// *effective* edits (normalized `u < v`, no no-ops) from
-/// [`GraphDelta::apply_to`]; `graph` must be the graph they produced
-/// from `old.graph` (same vertex set).
+/// Rebuilds the index over the spliced graph in `applied`, reusing
+/// everything `old` computed that the edits cannot have invalidated.
+/// `applied` must come from [`GraphDelta::apply_to`] on `old.graph`
+/// (same vertex set, effective edits only).
 pub(crate) fn incremental(
     old: &GsIndex,
-    graph: Arc<CsrGraph>,
-    inserted: &[(VertexId, VertexId)],
-    deleted: &[(VertexId, VertexId)],
+    applied: AppliedDelta,
     pool: &WorkerPool,
 ) -> (GsIndex, UpdateStats) {
+    // T: endpoints of effective edits. A = T ∪ N_new(T). (N_old(T) adds
+    // nothing: an old neighbor of t ∉ N_new(t) lost its edge to t, so it
+    // is itself an edit endpoint and already in T.)
+    let touched = applied.touched();
+    let applied_edges = applied.applied_edges();
+    let graph = Arc::new(applied.graph);
     let g_new: &CsrGraph = &graph;
     let g_old: &CsrGraph = &old.graph;
     let n = g_new.num_vertices();
@@ -105,16 +92,6 @@ pub(crate) fn incremental(
         "vertex set is fixed across updates"
     );
 
-    // T: endpoints of effective edits. A = T ∪ N_new(T). (N_old(T) adds
-    // nothing: an old neighbor of t ∉ N_new(t) lost its edge to t, so it
-    // is itself an edit endpoint and already in T.)
-    let mut touched: Vec<VertexId> = inserted
-        .iter()
-        .chain(deleted.iter())
-        .flat_map(|&(u, v)| [u, v])
-        .collect();
-    touched.sort_unstable();
-    touched.dedup();
     let mut in_t = vec![false; n];
     for &t in &touched {
         in_t[t as usize] = true;
@@ -266,10 +243,9 @@ pub(crate) fn incremental(
             neighbor_order,
         },
         UpdateStats {
-            applied_edges: inserted.len() + deleted.len(),
+            applied_edges,
             touched_vertices: affected.len(),
             recomputed_edges,
-            affected,
         },
     )
 }
@@ -278,8 +254,10 @@ pub(crate) fn incremental(
 mod tests {
     use super::*;
     use ppscan_core::params::ScanParams;
-    use ppscan_graph::gen;
+    use ppscan_core::pscan::pscan;
+    use ppscan_core::result::{Clustering, Role};
     use ppscan_graph::rng::SplitMix64;
+    use ppscan_graph::{builder, gen, GraphBuilder};
     use std::collections::HashSet;
 
     /// Builds a random mixed batch over `g`: `dels` existing edges plus
@@ -322,19 +300,91 @@ mod tests {
         delta
     }
 
-    /// Structural equality with a from-scratch build: same per-vertex
-    /// neighbor-order multisets (σ ties may order freely, so compare
-    /// sorted copies).
+    /// Bitwise equality with a from-scratch build. Build and repair both
+    /// order a slice by descending σ, then ascending id — a total order —
+    /// so the slices must agree entry for entry; compared per vertex
+    /// first so a failure names it.
     fn assert_index_equivalent(inc: &GsIndex, fresh: &GsIndex) {
         let g = &fresh.graph;
         for u in g.vertices() {
             let r = g.neighbor_range(u);
-            let mut a = inc.neighbor_order[r.clone()].to_vec();
-            let mut b = fresh.neighbor_order[r].to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "neighbor order diverged at vertex {u}");
+            assert_eq!(
+                inc.neighbor_order[r.clone()],
+                fresh.neighbor_order[r],
+                "neighbor order diverged at vertex {u}"
+            );
         }
+        assert!(inc == fresh, "index diverged from a from-scratch build");
+    }
+
+    /// Applies `delta` to an index over `g` and checks both sides: the
+    /// repaired index equals a fresh build, and the queries before and
+    /// after equal pSCAN. Returns the clusterings before and after.
+    fn update_and_query(
+        g: CsrGraph,
+        p: ScanParams,
+        delta: &GraphDelta,
+    ) -> (Clustering, Clustering) {
+        let index = GsIndex::build(Arc::new(g), 1);
+        let before = index.query(p);
+        assert_eq!(before, pscan(index.graph(), p).clustering);
+        let (updated, _) = index.apply_delta(delta, 2).unwrap();
+        assert_index_equivalent(&updated, &GsIndex::build(Arc::clone(updated.graph()), 1));
+        let after = updated.query(p);
+        assert_eq!(after, pscan(updated.graph(), p).clustering);
+        (before, after)
+    }
+
+    #[test]
+    fn merges_splits_and_demotions_match_from_scratch() {
+        // Two triangles bridged by three edges merge into one cluster.
+        let triangles = builder::from_edges(&[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
+        let mut bridge = GraphDelta::new();
+        for (u, v) in [(2, 3), (1, 3), (2, 4)] {
+            bridge.insert(u, v).unwrap();
+        }
+        let (before, after) = update_and_query(triangles, ScanParams::new(0.3, 2), &bridge);
+        assert_eq!((before.num_clusters(), after.num_clusters()), (2, 1));
+
+        // A barbell: two K4s joined by a 4-edge bridge thick enough to be
+        // ε-similar (σ(0, 4) = 4/6). Deleting the bridge splits the
+        // cluster in two.
+        let mut edges = Vec::new();
+        for a in 0..4u32 {
+            for b in (a + 1)..4 {
+                edges.push((a, b));
+                edges.push((a + 4, b + 4));
+            }
+        }
+        let bridge = [(0, 4), (0, 5), (1, 4), (1, 5)];
+        edges.extend_from_slice(&bridge);
+        let mut cut = GraphDelta::new();
+        for (u, v) in bridge {
+            cut.delete(u, v).unwrap();
+        }
+        let (before, after) =
+            update_and_query(builder::from_edges(&edges), ScanParams::new(0.5, 2), &cut);
+        assert_eq!((before.num_clusters(), after.num_clusters()), (1, 2));
+
+        // Eight spokes inserted at vertex 0 of a K4 raise its degree, so
+        // σ(0, ·) falls below ε: an insertion that demotes a core.
+        let mut edges: Vec<(VertexId, VertexId)> = gen::complete(4).undirected_edges().collect();
+        edges.push((4, 5));
+        let k4 = GraphBuilder::new()
+            .extend_edges(edges)
+            .ensure_vertices(12)
+            .build();
+        let mut spokes = GraphDelta::new();
+        for v in 4..12 {
+            spokes.insert(0, v).unwrap();
+        }
+        let (before, after) = update_and_query(k4, ScanParams::new(0.6, 2), &spokes);
+        assert_eq!(
+            (before.roles[0], after.roles[0]),
+            (Role::Core, Role::NonCore)
+        );
+        assert_eq!((before.num_cores(), after.num_cores()), (4, 3));
+        assert_eq!((before.num_clusters(), after.num_clusters()), (1, 1));
     }
 
     #[test]

@@ -344,11 +344,13 @@ impl Server {
                                 generation: snap.generation,
                                 result,
                             };
+                            // Out of flight before the answer is visible,
+                            // so its client never sees itself in flight.
+                            in_flight.add(-1);
                             *lock(&job.slot.filled) = Some(response);
                             job.slot.cv.notify_all();
                         }
                         recorder.record(EventKind::BatchEnd, batch.len() as u64, snap.generation);
-                        in_flight.set(0);
                         batches.incr();
                         batch_ordinal += 1;
                         batch.clear();
@@ -658,6 +660,8 @@ mod tests {
         let server = Server::start(test_graph(), ServeConfig::default());
         for _ in 0..12 {
             assert!(server.query(0.5, 2).result.is_ok());
+            // An answered query is out of flight when its client sees it.
+            assert_eq!(server.metrics_snapshot().gauge("serve.in_flight"), Some(0));
         }
         server.rebuild(test_graph());
         assert!(server.query(0.5, 2).result.is_ok());

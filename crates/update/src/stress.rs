@@ -1,10 +1,10 @@
 //! Differential stress driver for the incremental update path:
 //! `incremental(G, ΔE) ≡ from_scratch(G + ΔE)` swept over the generator
-//! zoo × execution strategies × batch sizes × seeds. Both layers are
-//! checked per case: the maintained [`GsIndex`] must answer every
-//! `(ε, µ)` in the grid exactly like an index built from scratch on the
-//! edited graph, and [`IncrementalClustering`]'s union-find surgery must
-//! materialize the same clustering as a fresh query.
+//! zoo × execution strategies × batch sizes × seeds. Each case checks
+//! that the repaired [`GsIndex`] equals an index built from scratch on
+//! the edited graph, bit for bit, and that its query, run across the
+//! strategy's pool, answers every `(ε, µ)` in the grid like a fresh
+//! query.
 //!
 //! The driver is the second client of [`ppscan_core::spine`], which owns
 //! the sweep loop, the ddmin pass, the corpus and the seed log; this
@@ -19,7 +19,6 @@
 //! keeps fixed bugs self-cleaning and unfixed ones loud, exactly like the
 //! core stress corpus.
 
-use crate::IncrementalClustering;
 use ppscan_core::params::ScanParams;
 use ppscan_core::spine::{self, Case, SweepStats, Unit};
 use ppscan_graph::delta::GraphDelta;
@@ -145,7 +144,8 @@ pub fn random_delta(g: &CsrGraph, size: usize, seed: u64) -> GraphDelta {
 /// sampling the whole graph uniformly). The window is centered by the
 /// seed and sized `Θ(√size)` so it always offers far more distinct pairs
 /// than the batch needs, yet stays a vanishing fraction of the graph:
-/// this is the regime where localized recomputation wins.
+/// this is the regime where localized recomputation wins. The window
+/// holds at least 16 vertices, or every vertex of a smaller graph.
 pub fn hot_delta(g: &CsrGraph, size: usize, seed: u64) -> GraphDelta {
     let mut rng = SplitMix64::seed_from_u64(seed ^ 0x407_5307);
     let mut delta = GraphDelta::new();
@@ -154,7 +154,7 @@ pub fn hot_delta(g: &CsrGraph, size: usize, seed: u64) -> GraphDelta {
         return delta;
     }
     // ~4√size vertices ⇒ ≥ 8·size candidate pairs inside the window.
-    let window = ((size as f64).sqrt() as usize * 4).clamp(16, n);
+    let window = ((size as f64).sqrt() as usize * 4).max(16).min(n);
     let w0 = rng.gen_index(n - window + 1);
     let mut used: HashSet<(VertexId, VertexId)> = HashSet::new();
     let mut attempts = 0usize;
@@ -184,7 +184,7 @@ pub fn hot_delta(g: &CsrGraph, size: usize, seed: u64) -> GraphDelta {
 const MASTER_SEED: u64 = 0x00ed_1700;
 /// Seeds swept per generator family.
 const SEEDS_PER_GENERATOR: u64 = 5;
-/// Execution strategies driven through the repair path's pool.
+/// Execution strategies driven through the repair and query pool.
 const STRATEGIES: [ExecutionStrategy; 3] = [
     ExecutionStrategy::Parallel,
     ExecutionStrategy::SequentialDeterministic,
@@ -405,9 +405,10 @@ impl fmt::Display for UpdateCase {
 }
 
 /// The differential check itself: applies `delta` to `g` incrementally
-/// (index maintenance under `strategy`'s pool, then cluster surgery per
-/// parameter point) and compares every layer against a from-scratch
-/// rebuild on the edited graph. `Some(detail)` on the first divergence.
+/// under `strategy`'s pool, requires the repaired index to equal a
+/// from-scratch rebuild on the edited graph, then queries it across the
+/// same pool at every parameter point against the rebuild's query.
+/// `Some(detail)` on the first divergence.
 pub fn divergence(
     g: &CsrGraph,
     delta: &GraphDelta,
@@ -415,9 +416,8 @@ pub fn divergence(
     threads: usize,
     params: &[(f64, usize)],
 ) -> Option<String> {
-    let graph = Arc::new(g.clone());
     let pool = WorkerPool::with_strategy(threads, strategy);
-    let base = GsIndex::build(Arc::clone(&graph), threads);
+    let base = GsIndex::build(Arc::new(g.clone()), threads);
     let (updated, stats) = match base.apply_delta_with(delta, &pool) {
         Ok(x) => x,
         Err(e) => return Some(format!("apply_delta failed: {e}")),
@@ -430,25 +430,14 @@ pub fn divergence(
         ));
     }
     let fresh = GsIndex::build(Arc::clone(updated.graph()), threads);
+    if updated != fresh {
+        return Some("repaired index differs from a from-scratch rebuild".to_string());
+    }
     for &(eps, mu) in params {
         let p = ScanParams::new(eps, mu);
-        if updated.query(p) != fresh.query(p) {
+        if updated.query_with(p, &pool) != fresh.query(p) {
             return Some(format!(
                 "index query diverged from from-scratch rebuild at {}",
-                p.label()
-            ));
-        }
-        let mut ic = IncrementalClustering::with_pool(
-            Arc::clone(&graph),
-            p,
-            WorkerPool::with_strategy(threads, strategy),
-        );
-        if let Err(e) = ic.apply(delta) {
-            return Some(format!("cluster repair failed at {}: {e}", p.label()));
-        }
-        if ic.clustering() != fresh.query(p) {
-            return Some(format!(
-                "incremental clustering diverged from from-scratch query at {}",
                 p.label()
             ));
         }
@@ -689,29 +678,38 @@ mod tests {
 
     #[test]
     fn hot_delta_stays_in_a_small_window_and_is_effective() {
-        let g = zoo_graph(0, 7); // roll family — the bench's workload
-        let delta = hot_delta(&g, 24, 42);
-        assert!(!delta.is_empty());
-        assert!(delta.validate(&g).is_ok());
-        let endpoints: Vec<VertexId> = delta
-            .inserts()
-            .iter()
-            .chain(delta.deletes().iter())
-            .flat_map(|&(u, v)| [u, v])
-            .collect();
-        let lo = *endpoints.iter().min().unwrap();
-        let hi = *endpoints.iter().max().unwrap();
-        assert!(
-            (hi - lo) as usize <= ((24f64.sqrt() as usize) * 4).max(16),
-            "window [{lo}, {hi}] wider than the documented bound"
-        );
-        // Every draw targets a present edge (delete) or an absent one
-        // (insert), so the whole batch is effective.
-        for &(u, v) in delta.deletes() {
-            assert!(g.has_edge(u, v));
-        }
-        for &(u, v) in delta.inserts() {
-            assert!(!g.has_edge(u, v));
+        // The roll family is the bench's workload; the small shapes have
+        // fewer vertices than the smallest window.
+        for g in [
+            zoo_graph(0, 7),
+            gen::complete(3),
+            gen::path(2),
+            gen::path(8),
+            gen::star(12),
+        ] {
+            let delta = hot_delta(&g, 24, 42);
+            assert!(!delta.is_empty());
+            assert!(delta.validate(&g).is_ok());
+            let endpoints: Vec<VertexId> = delta
+                .inserts()
+                .iter()
+                .chain(delta.deletes().iter())
+                .flat_map(|&(u, v)| [u, v])
+                .collect();
+            let lo = *endpoints.iter().min().unwrap();
+            let hi = *endpoints.iter().max().unwrap();
+            assert!(
+                (hi - lo) as usize <= ((24f64.sqrt() as usize) * 4).max(16),
+                "window [{lo}, {hi}] wider than the documented bound"
+            );
+            // Every draw targets a present edge (delete) or an absent one
+            // (insert), so the whole batch is effective.
+            for &(u, v) in delta.deletes() {
+                assert!(g.has_edge(u, v));
+            }
+            for &(u, v) in delta.inserts() {
+                assert!(!g.has_edge(u, v));
+            }
         }
     }
 

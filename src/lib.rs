@@ -39,9 +39,10 @@
 //! * [`serve`] — a long-lived clustering service over the index:
 //!   batched concurrent queries, non-blocking index swaps
 //!   (`ppscan-serve`).
-//! * [`update`] — incremental re-clustering on streaming edge updates:
-//!   batched deltas, localized index maintenance, union-find surgery
-//!   (`ppscan-update`).
+//! * [`update`] — the streaming-update stress driver: repaired index ≡
+//!   fresh build and repaired query ≡ fresh query, with the delta
+//!   generators (`ppscan-update`). The update itself is
+//!   [`gsindex::GsIndex::apply_delta`].
 //!
 //! See `DESIGN.md` for the paper-to-module inventory and
 //! `EXPERIMENTS.md` for the reproduced evaluation.

@@ -130,20 +130,20 @@ fn scheduler_threshold_is_behavior_invariant() {
 #[test]
 fn streaming_updates_match_from_scratch_through_the_facade() {
     use ppscan::graph::delta::GraphDelta;
-    use ppscan::update::IncrementalClustering;
+    use ppscan::gsindex::GsIndex;
     use std::sync::Arc;
 
     let graph = Arc::new(gen::planted_partition(4, 50, 0.5, 0.01, 42));
     let params = ScanParams::new(0.5, 4);
-    let mut live = IncrementalClustering::new(Arc::clone(&graph), params, 2);
+    let index = GsIndex::build(Arc::clone(&graph), 2);
 
     let mut delta = GraphDelta::new();
     delta.insert(0, 150).unwrap();
     delta.delete(1, 2).unwrap();
-    let outcome = live.apply(&delta).unwrap();
-    assert!(outcome.stats.touched_vertices > 0);
+    let (updated, stats) = index.apply_delta(&delta, 2).unwrap();
+    assert!(stats.touched_vertices > 0);
 
     let edited = delta.apply_to(&graph).unwrap().graph;
     let reference = ppscan::cluster(&edited, params);
-    assert_eq!(live.clustering(), reference.clustering);
+    assert_eq!(updated.query(params), reference.clustering);
 }
