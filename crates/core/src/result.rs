@@ -155,21 +155,36 @@ impl Clustering {
     }
 
     /// Classifies every vertex as clustered / hub / outlier
-    /// (Definition 2.10). O(|E| + |V| + P log P) where P is the number of
-    /// non-core membership pairs — the complexity pSCAN quotes.
+    /// (Definition 2.10). O(|E| + |V| + P), where P is the number of
+    /// non-core membership pairs, and no allocation per vertex: one pass
+    /// over the sorted pairs finds each vertex's run of them.
     pub fn classify_unclustered(&self, g: &CsrGraph) -> Vec<UnclusteredClass> {
-        (0..self.num_vertices() as VertexId)
+        let n = self.num_vertices();
+        // noncore_pairs[first[v]..first[v + 1]] are v's memberships.
+        let mut first = vec![0usize; n + 1];
+        for &(v, _) in &self.noncore_pairs {
+            first[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            first[v + 1] += first[v];
+        }
+        let clusters_of = |v: usize| {
+            let core = Some(self.core_cluster[v]).filter(|&c| c != NO_CLUSTER);
+            let pairs = &self.noncore_pairs[first[v]..first[v + 1]];
+            core.into_iter().chain(pairs.iter().map(|&(_, c)| c))
+        };
+        (0..n)
             .map(|v| {
-                if self.is_clustered(v) {
+                if clusters_of(v).next().is_some() {
                     return UnclusteredClass::Clustered;
                 }
                 // Hub iff neighbors touch ≥ 2 distinct clusters.
                 let mut seen: Option<u32> = None;
-                for &w in g.neighbors(v) {
-                    for c in self.memberships(w) {
+                for &w in g.neighbors(v as VertexId) {
+                    for c in clusters_of(w as usize) {
                         match seen {
                             None => seen = Some(c),
-                            Some(first) if first != c => return UnclusteredClass::Hub,
+                            Some(prev) if prev != c => return UnclusteredClass::Hub,
                             _ => {}
                         }
                     }
@@ -194,7 +209,10 @@ impl Clustering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ScanParams;
+    use crate::pscan::pscan;
     use ppscan_graph::builder::from_edges;
+    use ppscan_graph::gen;
 
     /// roles: 0,1 cores in one cluster; 3,4 cores in another; 2 non-core
     /// in both; 5 non-core in none.
@@ -242,6 +260,59 @@ mod tests {
         assert_eq!(classes[0], UnclusteredClass::Clustered);
         assert_eq!(classes[2], UnclusteredClass::Clustered);
         assert_eq!(classes[5], UnclusteredClass::Hub);
+    }
+
+    /// The classification as `memberships` gives it, one vector per
+    /// vertex and per neighbor looked at: the reference for the
+    /// run-array version.
+    fn classify_by_memberships(c: &Clustering, g: &CsrGraph) -> Vec<UnclusteredClass> {
+        (0..c.num_vertices() as VertexId)
+            .map(|v| {
+                if c.is_clustered(v) {
+                    return UnclusteredClass::Clustered;
+                }
+                let mut seen: Option<u32> = None;
+                for &w in g.neighbors(v) {
+                    for cl in c.memberships(w) {
+                        match seen {
+                            None => seen = Some(cl),
+                            Some(prev) if prev != cl => return UnclusteredClass::Hub,
+                            _ => {}
+                        }
+                    }
+                }
+                UnclusteredClass::Outlier
+            })
+            .collect()
+    }
+
+    #[test]
+    fn classify_matches_membership_reference() {
+        let zoo = [
+            gen::rmat_social(8, 6, 5),
+            gen::planted_partition(4, 20, 0.5, 0.05, 11),
+            gen::roll(300, 8, 3),
+            gen::erdos_renyi(200, 900, 7),
+            gen::clique_chain(5, 4),
+            gen::scan_paper_example(),
+            CsrGraph::empty(0),
+        ];
+        let mut hubs = 0;
+        for (i, g) in zoo.iter().enumerate() {
+            for eps in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8] {
+                for mu in 1..=5 {
+                    let c = pscan(g, ScanParams::new(eps, mu)).clustering;
+                    let want = classify_by_memberships(&c, g);
+                    assert_eq!(
+                        c.classify_unclustered(g),
+                        want,
+                        "graph {i}, ε {eps}, µ {mu}"
+                    );
+                    hubs += want.iter().filter(|&&k| k == UnclusteredClass::Hub).count();
+                }
+            }
+        }
+        assert!(hubs >= 100, "only {hubs} hubs: the zoo barely tests them");
     }
 
     #[test]

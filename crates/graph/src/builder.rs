@@ -81,60 +81,59 @@ impl GraphBuilder {
     /// Builds the CSR graph: counting sort by source, then per-vertex sort
     /// and dedup. O(|E| log d_max) time, no hashing.
     pub fn build(self) -> CsrGraph {
-        let n = self
-            .edges
+        let edges = self.edges;
+        let n = edges
             .iter()
             .map(|&(u, v)| u.max(v) as usize + 1)
             .max()
             .unwrap_or(0)
             .max(self.min_vertices);
 
-        // Degree count for both directions.
-        let mut counts = vec![0usize; n + 1];
-        for &(u, v) in &self.edges {
-            counts[u as usize + 1] += 1;
-            counts[v as usize + 1] += 1;
+        // Degree count for both directions; the prefix sum then makes
+        // offsets[u] the first slot of u's list.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
         for i in 1..=n {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-
-        // Scatter both directions.
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0 as VertexId; self.edges.len() * 2];
-        for &(u, v) in &self.edges {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
+            offsets[i] += offsets[i - 1];
         }
 
-        // Sort + dedup each adjacency list, then recompact.
-        let mut new_offsets = vec![0usize; n + 1];
-        let mut write = 0usize;
-        for u in 0..n {
-            let (beg, end) = (offsets[u], offsets[u + 1]);
-            let adj = &mut neighbors[beg..end];
-            adj.sort_unstable();
+        // Scatter both directions with offsets[u] as u's cursor, which
+        // leaves it at the end of u's list.
+        let mut neighbors = vec![0 as VertexId; edges.len() * 2];
+        for &(u, v) in &edges {
+            neighbors[offsets[u as usize]] = v;
+            offsets[u as usize] += 1;
+            neighbors[offsets[v as usize]] = u;
+            offsets[v as usize] += 1;
+        }
+        drop(edges);
+
+        // Sort and dedup each list, compacting it to the front. Each offset
+        // is read as its list's old end, then set to its new start. Pairs
+        // are stored as (min, max), so both directions of an edge are
+        // deduplicated alike and symmetry holds.
+        let (mut beg, mut write) = (0usize, 0usize);
+        for off in &mut offsets[..n] {
+            let end = *off;
+            *off = write;
+            neighbors[beg..end].sort_unstable();
             let mut prev: Option<VertexId> = None;
-            let mut w = write;
             for i in beg..end {
                 let v = neighbors[i];
                 if prev != Some(v) {
-                    neighbors[w] = v;
-                    w += 1;
+                    neighbors[write] = v;
+                    write += 1;
                     prev = Some(v);
                 }
             }
-            write = w;
-            new_offsets[u + 1] = write;
+            beg = end;
         }
+        offsets[n] = write;
         neighbors.truncate(write);
-        // Dedup can leave an odd asymmetry only if input contained (u,v)
-        // twice in one direction — normalization above stores min/max, so
-        // both directions are always inserted in lockstep and symmetry holds.
-        CsrGraph::from_sorted_parts_unchecked(new_offsets, neighbors)
+        CsrGraph::from_sorted_parts_unchecked(offsets, neighbors)
     }
 }
 

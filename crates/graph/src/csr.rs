@@ -153,7 +153,9 @@ impl CsrGraph {
     }
 
     /// Checks every representation invariant; returns a description of the
-    /// first violation found.
+    /// first violation found. O(m) when the reverse-edge index is present:
+    /// each slot's reverse edge is found through it, and searched for only
+    /// when the index is absent or does not hold it.
     pub fn validate(&self) -> Result<(), String> {
         if self.offsets.is_empty() {
             return Err("offsets must have at least one entry".into());
@@ -177,14 +179,21 @@ impl CsrGraph {
             if adj.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("neighbors of {u} not strictly increasing"));
             }
-            for &v in adj {
+            for e in self.neighbor_range(u as VertexId) {
+                let v = self.neighbors[e];
                 if v as usize >= n {
                     return Err(format!("edge ({u}, {v}) out of range (n = {n})"));
                 }
                 if v as usize == u {
                     return Err(format!("self loop at {u}"));
                 }
-                if self.edge_offset(v, u as VertexId).is_none() {
+                // The slot the index names proves the reverse edge in O(1);
+                // without one that holds it, search v's list.
+                let indexed = self.rev.get(e).is_some_and(|&r| {
+                    self.neighbor_range(v).contains(&(r as usize))
+                        && self.neighbors[r as usize] as usize == u
+                });
+                if !indexed && self.edge_offset(v, u as VertexId).is_none() {
                     return Err(format!("missing reverse edge for ({u}, {v})"));
                 }
             }

@@ -7,12 +7,23 @@
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, VertexId};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
+/// Bytes [`read_edge_list`] asks its reader for at a time. Its buffer
+/// grows past this only to hold a single longer line.
+pub(crate) const READ_CHUNK: usize = 256 << 10;
+
 /// Parses a SNAP-style edge list: one `u v` pair per line, `#` or `%`
-/// comment lines ignored, arbitrary whitespace separators. Self loops and
-/// duplicate edges are normalized away by the builder.
+/// comment lines ignored, arbitrary whitespace separators, tokens after
+/// the second ignored. Self loops and duplicate edges are normalized away
+/// by the builder.
+///
+/// Lines end at `\n`, as `BufRead::lines` splits them, and a final line
+/// needs none. A line of ASCII digits and spaces is parsed in place; any
+/// other line is decoded as UTF-8 and split by `str::split_whitespace`, so
+/// every line gets the verdict a `str` parser gives it. The input is read
+/// in chunks of 256 KiB, so memory stays O(input).
 ///
 /// The graph is sized by its largest vertex id, or by the vertex count
 /// `N` of a first line `# undirected graph: N vertices, M edges` (what
@@ -23,38 +34,28 @@ use std::path::Path;
 /// exceed the bytes read by at most 2²⁰ (`MAX_RESERVE`). A file with
 /// dense ids always passes, since each line of at least 4 bytes names at
 /// most 2 ids. An `N` that does not cover every id is `InvalidData` too.
-pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<CsrGraph> {
+pub fn read_edge_list<R: Read>(reader: R) -> io::Result<CsrGraph> {
     let mut builder = GraphBuilder::new();
-    let mut bytes_read = 0usize;
     let mut header: Option<usize> = None;
     // The largest id seen plus one, and the (0-based) line naming it first.
     let (mut id_end, mut max_line) = (0usize, 0usize);
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        // `+ 1` for the newline `lines()` strips.
-        bytes_read += line.len() + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            if lineno == 0 {
-                header = header_vertices(trimmed);
-            }
-            continue;
-        }
-        let mut it = trimmed.split_whitespace();
-        let parse = |tok: Option<&str>| -> io::Result<VertexId> {
-            tok.ok_or_else(|| bad_line(lineno))?
-                .parse::<VertexId>()
-                .map_err(|_| bad_line(lineno))
+    let mut lineno = 0usize;
+    let bytes_read = for_each_line(reader, |line| {
+        let edge = match ascii_edge(line) {
+            Some(edge) => Some(edge),
+            None => str_edge(line, lineno, &mut header)?,
         };
-        let u = parse(it.next())?;
-        let v = parse(it.next())?;
-        for id in [u, v] {
-            if id as usize >= id_end {
-                (id_end, max_line) = (id as usize + 1, lineno);
+        if let Some((u, v)) = edge {
+            for id in [u, v] {
+                if id as usize >= id_end {
+                    (id_end, max_line) = (id as usize + 1, lineno);
+                }
             }
+            builder.push_edge(u, v);
         }
-        builder.push_edge(u, v);
-    }
+        lineno += 1;
+        Ok(())
+    })?;
     let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
     if id_end > MAX_RESERVE + bytes_read {
         return invalid(format!(
@@ -81,6 +82,114 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<CsrGraph> {
     Ok(builder.build())
 }
 
+/// Calls `f` on each line of `reader`, without its `\n`, and returns the
+/// bytes read. Reads [`READ_CHUNK`] bytes at a time into one buffer and
+/// carries an unfinished line to its front for the next read to extend.
+fn for_each_line<R: Read>(
+    mut reader: R,
+    mut f: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<usize> {
+    let mut buf = vec![0u8; READ_CHUNK];
+    let (mut filled, mut bytes_read) = (0usize, 0usize);
+    loop {
+        if filled == buf.len() {
+            // One line fills the buffer.
+            buf.resize(2 * buf.len(), 0);
+        }
+        let got = match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(got) => got,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        bytes_read += got;
+        let fresh = filled;
+        filled += got;
+        // The carried tail holds no newline, so only the fresh bytes can
+        // end a line.
+        let Some(last) = buf[fresh..filled].iter().rposition(|&b| b == b'\n') else {
+            continue;
+        };
+        let end = fresh + last;
+        for line in buf[..end].split(|&b| b == b'\n') {
+            f(line)?;
+        }
+        buf.copy_within(end + 1..filled, 0);
+        filled -= end + 1;
+    }
+    if filled > 0 {
+        f(&buf[..filled])?;
+    }
+    Ok(bytes_read)
+}
+
+/// The ASCII bytes `str::split_whitespace` splits on: tab, line feed,
+/// vertical tab, form feed, carriage return and space.
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// The edge of a line that starts with two ids of at most 10 ASCII digits
+/// each, separated by [`is_space`] bytes and followed by a space or the
+/// end of the line, with only ASCII after them. `None` for every other
+/// line, which [`str_edge`] then judges.
+fn ascii_edge(line: &[u8]) -> Option<(VertexId, VertexId)> {
+    let mut i = 0;
+    let u = ascii_id(line, &mut i)?;
+    let v = ascii_id(line, &mut i)?;
+    line[i..].is_ascii().then_some((u, v))
+}
+
+/// Skips spaces from `line[*i]`, then parses one id of 1 to 10 digits
+/// that a space or the line's end follows, leaving `*i` after it.
+fn ascii_id(line: &[u8], i: &mut usize) -> Option<VertexId> {
+    while line.get(*i).is_some_and(|&b| is_space(b)) {
+        *i += 1;
+    }
+    let start = *i;
+    let mut id = 0u64;
+    while *i - start < 10 {
+        match line.get(*i) {
+            Some(&b) if b.is_ascii_digit() => id = 10 * id + u64::from(b - b'0'),
+            _ => break,
+        }
+        *i += 1;
+    }
+    if *i == start || line.get(*i).is_some_and(|&b| !is_space(b)) {
+        return None;
+    }
+    VertexId::try_from(id).ok()
+}
+
+/// The verdict `str` parsing gives line `lineno`: its edge, `None` for a
+/// blank or comment line, or the error. Reads the header from line 0.
+fn str_edge(
+    line: &[u8],
+    lineno: usize,
+    header: &mut Option<usize>,
+) -> io::Result<Option<(VertexId, VertexId)>> {
+    let line = std::str::from_utf8(line).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("invalid UTF-8 on line {}", lineno + 1),
+        )
+    })?;
+    let trimmed = line.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+        if lineno == 0 {
+            *header = header_vertices(trimmed);
+        }
+        return Ok(None);
+    }
+    let mut it = trimmed.split_whitespace();
+    let mut id = || -> io::Result<VertexId> {
+        it.next()
+            .and_then(|tok| tok.parse().ok())
+            .ok_or_else(|| bad_line(lineno))
+    };
+    Ok(Some((id()?, id()?)))
+}
+
 /// The `N` of a `# undirected graph: N vertices, M edges` line.
 fn header_vertices(line: &str) -> Option<usize> {
     let rest = line.strip_prefix("# undirected graph: ")?;
@@ -96,7 +205,7 @@ fn bad_line(lineno: usize) -> io::Error {
 
 /// Reads an edge-list file from disk (see [`read_edge_list`]).
 pub fn read_edge_list_file(path: impl AsRef<Path>) -> io::Result<CsrGraph> {
-    read_edge_list(BufReader::new(File::open(path)?))
+    read_edge_list(File::open(path)?)
 }
 
 /// Writes the graph as an edge list, each undirected edge once.
@@ -113,15 +222,23 @@ pub fn write_edge_list<W: Write>(graph: &CsrGraph, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
+/// Writes an edge-list file (see [`write_edge_list`]), flushing it so
+/// that a failed final write is an error.
+pub fn write_edge_list_file(graph: &CsrGraph, path: impl AsRef<Path>) -> io::Result<()> {
+    let mut w = BufWriter::new(File::create(path)?);
+    write_edge_list(graph, &mut w)?;
+    w.flush()
+}
+
 const BINARY_MAGIC: &[u8; 8] = b"PPSCANG1";
 
 /// Most elements [`read_binary`] reserves for an array before reading
-/// it. The header's counts are untrusted, so longer arrays grow as their
-/// data arrives: a header that overstates them ends in an
-/// `UnexpectedEof` error, not in an allocation of the claimed size. Also
-/// the slack [`read_edge_list`] allows between its largest vertex id and
-/// the bytes it read.
-const MAX_RESERVE: usize = 1 << 20;
+/// it, and reads with one call. The header's counts are untrusted, so
+/// longer arrays grow one such chunk at a time as their data arrives: a
+/// header that overstates them ends in an `UnexpectedEof` error, not in
+/// an allocation of the claimed size. Also the slack [`read_edge_list`]
+/// allows between its largest vertex id and the bytes it read.
+pub(crate) const MAX_RESERVE: usize = 1 << 20;
 
 /// Writes the compact binary CSR format, all little-endian: the magic,
 /// `n` as u64, the `n + 1` CSR offsets as u64, then the neighbors as
@@ -152,34 +269,52 @@ pub fn read_binary<R: Read>(mut r: R) -> io::Result<CsrGraph> {
     let mut buf8 = [0u8; 8];
     r.read_exact(&mut buf8)?;
     let n = u64::from_le_bytes(buf8) as usize;
-    let mut offsets = Vec::with_capacity(n.saturating_add(1).min(MAX_RESERVE));
-    for _ in 0..=n {
-        r.read_exact(&mut buf8)?;
-        offsets.push(u64::from_le_bytes(buf8) as usize);
-    }
+    let offsets = read_array(&mut r, n.saturating_add(1), |b| {
+        u64::from_le_bytes(b) as usize
+    })?;
     let m = *offsets
         .last()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty offsets array"))?;
-    let mut neighbors: Vec<VertexId> = Vec::with_capacity(m.min(MAX_RESERVE));
-    let mut buf4 = [0u8; 4];
-    for _ in 0..m {
-        r.read_exact(&mut buf4)?;
-        neighbors.push(u32::from_le_bytes(buf4));
-    }
+    let neighbors = read_array(&mut r, m, VertexId::from_le_bytes)?;
     let g = CsrGraph::from_sorted_parts_unchecked(offsets, neighbors);
     g.validate()
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     Ok(g)
 }
 
-/// Writes the binary CSR format to a file.
+/// Reads `len` little-endian `W`-byte elements with one `read_exact` per
+/// chunk of at most [`MAX_RESERVE`] elements, so that a `len` the input
+/// overstates ends in `UnexpectedEof` after one bounded buffer.
+fn read_array<T, const W: usize>(
+    r: &mut impl Read,
+    len: usize,
+    decode: fn([u8; W]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(len.min(MAX_RESERVE));
+    let mut bytes = vec![0u8; len.min(MAX_RESERVE) * W];
+    while out.len() < len {
+        let chunk = &mut bytes[..(len - out.len()).min(MAX_RESERVE) * W];
+        r.read_exact(chunk)?;
+        out.extend(
+            chunk
+                .chunks_exact(W)
+                .map(|c| decode(c.try_into().expect("chunks_exact yields W bytes"))),
+        );
+    }
+    Ok(out)
+}
+
+/// Writes the binary CSR format to a file, flushing it so that a failed
+/// final write is an error.
 pub fn write_binary_file(graph: &CsrGraph, path: impl AsRef<Path>) -> io::Result<()> {
-    write_binary(graph, BufWriter::new(File::create(path)?))
+    let mut w = BufWriter::new(File::create(path)?);
+    write_binary(graph, &mut w)?;
+    w.flush()
 }
 
 /// Reads the binary CSR format from a file.
 pub fn read_binary_file(path: impl AsRef<Path>) -> io::Result<CsrGraph> {
-    read_binary(BufReader::new(File::open(path)?))
+    read_binary(File::open(path)?)
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 //! binary — the streams are platform-independent.
 
 use crate::builder::from_edges;
-use crate::csr::VertexId;
+use crate::csr::{CsrGraph, VertexId};
 use crate::rng::SplitMix64;
-use crate::{analysis, io};
+use crate::{analysis, io, GraphBuilder};
+use std::io::{BufRead, Read};
 
 /// Random edge list over `n` vertices with up to `max_edges` entries
 /// (self loops and duplicates included on purpose — the builder must
@@ -54,14 +55,32 @@ fn builder_always_produces_valid_csr() {
     });
 }
 
+/// The same pairs sorted by (min, max) without duplicates, as
+/// [`io::write_edge_list`] writes them; reversed; and shuffled.
+fn reorderings(edges: &[(VertexId, VertexId)]) -> [Vec<(VertexId, VertexId)>; 3] {
+    let mut sorted: Vec<_> = edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let reversed = edges.iter().rev().copied().collect();
+    let mut shuffled = edges.to_vec();
+    let mut rng = SplitMix64::seed_from_u64(edges.len() as u64);
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.gen_index(i + 1));
+    }
+    [sorted, reversed, shuffled]
+}
+
 #[test]
 fn builder_is_idempotent_under_duplication() {
     for_random_edge_lists(64, 30, 100, |edges| {
         let g1 = from_edges(edges);
-        let doubled: Vec<_> = edges.iter().chain(edges.iter()).copied().collect();
-        let g2 = from_edges(&doubled);
-        // Duplicated input edges change nothing.
-        assert_eq!(g1, g2);
+        // Duplicated input edges change nothing, in any order.
+        for pairs in std::iter::once(edges.to_vec()).chain(reorderings(edges)) {
+            let doubled: Vec<_> = pairs.iter().chain(pairs.iter()).copied().collect();
+            assert_eq!(from_edges(&doubled), g1);
+            let adjacent: Vec<_> = pairs.iter().flat_map(|&e| [e, e]).collect();
+            assert_eq!(from_edges(&adjacent), g1);
+        }
     });
 }
 
@@ -69,9 +88,11 @@ fn builder_is_idempotent_under_duplication() {
 fn builder_is_direction_insensitive() {
     for_random_edge_lists(64, 30, 100, |edges| {
         let g1 = from_edges(edges);
-        let flipped: Vec<_> = edges.iter().map(|&(u, v)| (v, u)).collect();
-        let g2 = from_edges(&flipped);
-        assert_eq!(g1, g2);
+        for pairs in std::iter::once(edges.to_vec()).chain(reorderings(edges)) {
+            assert_eq!(from_edges(&pairs), g1);
+            let flipped: Vec<_> = pairs.iter().map(|&(u, v)| (v, u)).collect();
+            assert_eq!(from_edges(&flipped), g1);
+        }
     });
 }
 
@@ -83,6 +104,223 @@ fn edge_list_roundtrip() {
         io::write_edge_list(&g, &mut buf).unwrap();
         assert_eq!(io::read_edge_list(&buf[..]).unwrap(), g);
     });
+}
+
+/// An edge-list parser over `BufRead::lines`, one `String` per line: the
+/// reference whose verdicts [`io::read_edge_list`] must match.
+fn read_edge_list_by_lines<R: BufRead>(reader: R) -> std::io::Result<CsrGraph> {
+    use std::io::{Error, ErrorKind};
+    fn header_vertices(line: &str) -> Option<usize> {
+        let rest = line.strip_prefix("# undirected graph: ")?;
+        rest.split_once(" vertices, ")?.0.parse().ok()
+    }
+    fn bad_line(lineno: usize) -> Error {
+        Error::new(
+            ErrorKind::InvalidData,
+            format!("malformed edge on line {}", lineno + 1),
+        )
+    }
+    let mut builder = GraphBuilder::new();
+    let mut bytes_read = 0usize;
+    let mut header: Option<usize> = None;
+    let (mut id_end, mut max_line) = (0usize, 0usize);
+    for (lineno, line) in reader.lines().enumerate() {
+        let line = line?;
+        bytes_read += line.len() + 1;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+            if lineno == 0 {
+                header = header_vertices(trimmed);
+            }
+            continue;
+        }
+        let mut it = trimmed.split_whitespace();
+        let parse = |tok: Option<&str>| -> std::io::Result<VertexId> {
+            tok.ok_or_else(|| bad_line(lineno))?
+                .parse::<VertexId>()
+                .map_err(|_| bad_line(lineno))
+        };
+        let u = parse(it.next())?;
+        let v = parse(it.next())?;
+        for id in [u, v] {
+            if id as usize >= id_end {
+                (id_end, max_line) = (id as usize + 1, lineno);
+            }
+        }
+        builder.push_edge(u, v);
+    }
+    let invalid = |msg: String| Err(Error::new(ErrorKind::InvalidData, msg));
+    if id_end > io::MAX_RESERVE + bytes_read {
+        return invalid(format!(
+            "vertex id {} on line {} is out of proportion to a {bytes_read}-byte edge list",
+            id_end - 1,
+            max_line + 1,
+        ));
+    }
+    if let Some(n) = header {
+        if n > io::MAX_RESERVE + bytes_read {
+            return invalid(format!(
+                "header of {n} vertices is out of proportion to a {bytes_read}-byte edge list"
+            ));
+        }
+        if n < id_end {
+            return invalid(format!(
+                "vertex id {} on line {} is out of range for the header's {n} vertices",
+                id_end - 1,
+                max_line + 1,
+            ));
+        }
+        builder = builder.ensure_vertices(n);
+    }
+    Ok(builder.build())
+}
+
+/// A parser's verdict with the parts the two parsers may word
+/// differently blanked: the byte count (the reference counts one byte per
+/// newline it strips, and adds one for a missing final newline) and the
+/// wording of a UTF-8 error.
+fn verdict(r: std::io::Result<CsrGraph>) -> Result<CsrGraph, (std::io::ErrorKind, String)> {
+    r.map_err(|e| {
+        let msg = e.to_string();
+        let msg = if msg.contains("UTF-8") {
+            "UTF-8".to_string()
+        } else if let Some((head, _)) = msg
+            .split_once(" a ")
+            .filter(|_| msg.ends_with("-byte edge list"))
+        {
+            format!("{head} a B-byte edge list")
+        } else {
+            msg
+        };
+        (e.kind(), msg)
+    })
+}
+
+/// Hands out 1 to 5 bytes per call and fails every third call with
+/// `Interrupted`.
+struct Trickle<'a> {
+    data: &'a [u8],
+    calls: usize,
+    rng: SplitMix64,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.calls.is_multiple_of(3) {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let k = (1 + self.rng.gen_index(5))
+            .min(buf.len())
+            .min(self.data.len());
+        buf[..k].copy_from_slice(&self.data[..k]);
+        self.data = &self.data[k..];
+        Ok(k)
+    }
+}
+
+/// Pieces the mutations insert: separators `str::split_whitespace` does
+/// and does not split on, signs, ids past `u32` and past 10 digits,
+/// invalid UTF-8, comments, headers and trailing tokens.
+const PIECES: &[&[u8]] = &[
+    b"\r",
+    b"\r\n",
+    b"\n",
+    b"\x0b",
+    b"\x0c",
+    b"\t",
+    b" ",
+    "\u{3000}".as_bytes(),
+    "\u{a0}".as_bytes(),
+    "\u{85}".as_bytes(),
+    b"\x1c",
+    b"+",
+    b"-",
+    b"4294967295",
+    b"4294967296",
+    b"00000000000007",
+    b"12345678901234",
+    b"\xff",
+    b"# c",
+    b"%",
+    b"# undirected graph: 60 vertices, 3 edges\n",
+    b"# undirected graph: 4294967296 vertices, 3 edges\n",
+    b" 9 x",
+    b" 1.5",
+    b"x",
+];
+
+/// A generated edge list: `write_edge_list` output of a random graph,
+/// sometimes with CRLF line ends or without its final newline, then up
+/// to four [`PIECES`] inserted at random byte offsets.
+fn mutated_edge_list(rng: &mut SplitMix64) -> Vec<u8> {
+    let g = from_edges(&edge_list(rng, 40, 30));
+    let mut text = Vec::new();
+    io::write_edge_list(&g, &mut text).unwrap();
+    if rng.gen_bool(0.2) {
+        text = String::from_utf8(text)
+            .unwrap()
+            .replace('\n', "\r\n")
+            .into_bytes();
+    }
+    if rng.gen_bool(0.2) {
+        text.pop();
+    }
+    for _ in 0..rng.gen_index(5) {
+        let at = rng.gen_index(text.len() + 1);
+        let piece = PIECES[rng.gen_index(PIECES.len())];
+        text.splice(at..at, piece.iter().copied());
+    }
+    text
+}
+
+/// The chunked byte parser gives every input the reference's verdict:
+/// the same graph, or an error of the same kind and message. Covers
+/// mutated edge lists read at once and through a trickling reader, and
+/// lines longer than the read chunk.
+#[test]
+fn edge_list_parser_matches_line_reference() {
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+    for seed in 0..3000u64 {
+        let mut rng = SplitMix64::seed_from_u64(0xed6e_0000 ^ seed);
+        let text = mutated_edge_list(&mut rng);
+        let want = verdict(read_edge_list_by_lines(&text[..]));
+        let got = verdict(io::read_edge_list(&text[..]));
+        assert_eq!(
+            got,
+            want,
+            "seed {seed}: {:?}",
+            String::from_utf8_lossy(&text)
+        );
+        if seed % 4 == 0 {
+            let trickle = Trickle {
+                data: &text,
+                calls: 0,
+                rng: SplitMix64::seed_from_u64(seed),
+            };
+            let got = verdict(io::read_edge_list(trickle));
+            assert_eq!(got, want, "trickled seed {seed}");
+        }
+        if want.is_ok() {
+            accepted += 1;
+        } else {
+            rejected += 1;
+        }
+    }
+    // Both verdicts are common, so neither side of the parity goes untested.
+    assert!(accepted > 300 && rejected > 300, "{accepted} / {rejected}");
+
+    // Lines longer than the read chunk: a comment, and a run of blanks
+    // inside an edge line.
+    let long = io::READ_CHUNK * 5 / 2;
+    let mut text = b"# ".to_vec();
+    text.extend(std::iter::repeat_n(b'c', long));
+    text.extend_from_slice(b"\n0 1\n2");
+    text.extend(std::iter::repeat_n(b' ', long / 2));
+    text.extend_from_slice(b"3\n\n4 5");
+    let want = verdict(read_edge_list_by_lines(&text[..]));
+    assert_eq!(want.as_ref().map(CsrGraph::num_edges), Ok(3));
+    assert_eq!(verdict(io::read_edge_list(&text[..])), want);
 }
 
 #[test]

@@ -26,11 +26,7 @@ fn main() {
     // Round-trip through the on-disk edge-list format, as one would with
     // a real SNAP dataset.
     let path = std::env::temp_dir().join("ppscan_example_sbm.txt");
-    {
-        let f = std::fs::File::create(&path).expect("create temp file");
-        ppscan::graph::io::write_edge_list(&graph, std::io::BufWriter::new(f))
-            .expect("write edge list");
-    }
+    ppscan::graph::io::write_edge_list_file(&graph, &path).expect("write edge list");
     let graph = ppscan::graph::io::read_edge_list_file(&path).expect("re-read edge list");
     std::fs::remove_file(&path).ok();
 

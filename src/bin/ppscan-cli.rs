@@ -56,6 +56,16 @@ fn load(path: &str) -> CsrGraph {
     })
 }
 
+/// Writes `g` to `path` in the format its extension names, as [`load`]
+/// reads it.
+fn save(g: &CsrGraph, path: &str) -> std::io::Result<()> {
+    if path.ends_with(".bin") {
+        io::write_binary_file(g, path)
+    } else {
+        io::write_edge_list_file(g, path)
+    }
+}
+
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -213,19 +223,26 @@ fn cmd_cluster(args: &[String]) -> i32 {
     }
 
     if let Some(path) = flag_value(args, "--output") {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create {path}: {e}");
-            exit(1)
-        }));
-        writeln!(w, "# vertex cluster_id (one line per membership)").unwrap();
-        for (cid, members) in out.clustering.clusters() {
-            for v in members {
-                writeln!(w, "{v} {cid}").unwrap();
-            }
+        if let Err(e) = write_memberships(&out.clustering, path) {
+            eprintln!("failed to write {path}: {e}");
+            return 1;
         }
         eprintln!("memberships written to {path}");
     }
     0
+}
+
+/// Writes one `vertex cluster_id` line per membership, flushing the file
+/// so that a failed final write is an error.
+fn write_memberships(clustering: &Clustering, path: &str) -> std::io::Result<()> {
+    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+    writeln!(w, "# vertex cluster_id (one line per membership)")?;
+    for (cid, members) in clustering.clusters() {
+        for v in members {
+            writeln!(w, "{v} {cid}")?;
+        }
+    }
+    w.flush()
 }
 
 fn cmd_generate(args: &[String]) -> i32 {
@@ -293,12 +310,7 @@ fn cmd_generate(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let result = if out.ends_with(".bin") {
-        io::write_binary_file(&g, out)
-    } else {
-        std::fs::File::create(out).and_then(|f| io::write_edge_list(&g, std::io::BufWriter::new(f)))
-    };
-    if let Err(e) = result {
+    if let Err(e) = save(&g, out) {
         eprintln!("failed to write {out}: {e}");
         return 1;
     }
@@ -320,13 +332,7 @@ fn cmd_convert(args: &[String]) -> i32 {
         return 2;
     };
     let g = load(input);
-    let result = if output.ends_with(".bin") {
-        io::write_binary_file(&g, output)
-    } else {
-        std::fs::File::create(output)
-            .and_then(|f| io::write_edge_list(&g, std::io::BufWriter::new(f)))
-    };
-    if let Err(e) = result {
+    if let Err(e) = save(&g, output) {
         eprintln!("failed to write {output}: {e}");
         return 1;
     }

@@ -212,3 +212,90 @@ fn missing_file_fails_cleanly() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("failed to load"));
 }
+
+/// Every write to `/dev/full` fails with "no space left on device". A
+/// dropped `BufWriter` discards its final flush's error, so each command
+/// must flush, and report the failure with exit 1 rather than succeed or
+/// panic.
+#[cfg(unix)]
+#[test]
+fn write_failures_exit_nonzero() {
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("skipped: this system has no /dev/full");
+        return;
+    }
+    let dir = tmpdir("dev-full");
+    let small = dir.join("small.txt");
+    std::fs::write(&small, "0 1\n1 2\n2 0\n").unwrap();
+    // 5,000 vertices in dense blocks: about 47 KB of memberships, more
+    // than one `BufWriter` buffer.
+    let big = dir.join("big.txt");
+    let out = cli()
+        .args([
+            "generate",
+            "sbm",
+            "--blocks",
+            "50",
+            "--block-size",
+            "100",
+            "--p-in",
+            "0.5",
+            "--p-out",
+            "0.001",
+            "--out",
+            big.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let link = dir.join("g.bin");
+    std::os::unix::fs::symlink("/dev/full", &link).unwrap();
+    let (small, big, link) = (
+        small.to_str().unwrap(),
+        big.to_str().unwrap(),
+        link.to_str().unwrap(),
+    );
+    let cases: [&[&str]; 5] = [
+        &[
+            "generate",
+            "er",
+            "--n",
+            "20",
+            "--edges",
+            "30",
+            "--out",
+            "/dev/full",
+        ],
+        &[
+            "generate", "er", "--n", "20", "--edges", "30", "--out", link,
+        ],
+        &[
+            "cluster",
+            small,
+            "--eps",
+            "0.5",
+            "--mu",
+            "2",
+            "--output",
+            "/dev/full",
+        ],
+        &[
+            "cluster",
+            big,
+            "--eps",
+            "0.5",
+            "--mu",
+            "2",
+            "--output",
+            "/dev/full",
+        ],
+        &["convert", small, "/dev/full"],
+    ];
+    for args in cases {
+        let out = cli().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("failed to write"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

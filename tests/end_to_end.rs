@@ -15,10 +15,7 @@ fn generate_persist_reload_cluster_verify() {
     std::fs::create_dir_all(&dir).unwrap();
     let txt = dir.join("g.txt");
     let bin = dir.join("g.bin");
-    {
-        let f = std::fs::File::create(&txt).unwrap();
-        io::write_edge_list(&g, std::io::BufWriter::new(f)).unwrap();
-    }
+    io::write_edge_list_file(&g, &txt).unwrap();
     io::write_binary_file(&g, &bin).unwrap();
     let g_txt = io::read_edge_list_file(&txt).unwrap();
     let g_bin = io::read_binary_file(&bin).unwrap();
