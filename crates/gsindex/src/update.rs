@@ -1,7 +1,7 @@
 //! Incremental GS*-Index maintenance under a [`GraphDelta`].
 //!
 //! A from-scratch build costs one exhaustive similarity pass —
-//! `O(Σ over edges of d[u] + d[v])` SIMD intersections plus a full sort
+//! `O(Σ over edges of min(d[u], d[v]))` bitmap counts plus a full sort
 //! of every neighborhood. An edge edit invalidates almost none of that
 //! work:
 //!
@@ -20,12 +20,14 @@
 //! vertex's role at any `(ε, µ)` is read off its µ-th neighbor-order
 //! entry, so repairing the slices repairs the roles.
 
-use crate::{GsIndex, SimValue};
+use crate::build::{bitmap_task_cut, outranks};
+use crate::order::{insert_position, Sorter};
+use crate::GsIndex;
 use ppscan_graph::delta::{AppliedDelta, DeltaError, GraphDelta};
 use ppscan_graph::{CsrGraph, VertexId};
-use ppscan_intersect::count::count;
+use ppscan_intersect::count::Bitmap;
 use ppscan_obs::Span;
-use ppscan_sched::WorkerPool;
+use ppscan_sched::{weighted_tasks, WorkerPool};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -104,23 +106,34 @@ pub(crate) fn incremental(
     affected.dedup();
 
     // ---- update-sim: recompute cn only for edges incident to T. ----
+    // Each touched vertex marks its new neighbor list once and counts
+    // every neighbor's list against it; a pair of touched vertices is
+    // counted once, by the endpoint that outranks the other.
     let cn_map: HashMap<(VertexId, VertexId), u32> = {
         let _span = Span::enter("update-sim");
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        for &t in &touched {
-            for &w in g_new.neighbors(t) {
-                pairs.push((t.min(w), t.max(w)));
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut jobs: Vec<((VertexId, VertexId), u32)> =
-            pairs.into_iter().map(|p| (p, 0)).collect();
-        pool.run_mut(&mut jobs, |job| {
-            let (u, v) = job.0;
-            job.1 = count(g_new.neighbors(u), g_new.neighbors(v)) as u32 + 2;
+        let tasks = weighted_tasks(touched.len(), bitmap_task_cut(n), pool.threads(), |i| {
+            g_new.degree(touched[i as usize]) as u64
         });
-        jobs.into_iter().collect()
+        let mut jobs: Vec<_> = tasks
+            .into_iter()
+            .map(|r| (r, Vec::<((VertexId, VertexId), u32)>::new()))
+            .collect();
+        pool.run_mut(&mut jobs, |(range, out)| {
+            let mut marks = Bitmap::new(n);
+            for &t in &touched[range.start as usize..range.end as usize] {
+                let nt = g_new.neighbors(t);
+                marks.mark(nt);
+                for &w in nt {
+                    if in_t[w as usize] && outranks(g_new, w, t) {
+                        continue;
+                    }
+                    let c = marks.count(g_new.neighbors(w)) as u32 + 2;
+                    out.push(((t.min(w), t.max(w)), c));
+                }
+                marks.unmark(nt);
+            }
+        });
+        jobs.into_iter().flat_map(|(_, out)| out).collect()
     };
     let recomputed_edges = cn_map.len();
 
@@ -180,19 +193,13 @@ pub(crate) fn incremental(
         pool.run_mut(&mut slices, |(u, out)| {
             let u = *u;
             let d_u = out.len();
-            // Slice order of u's neighbor entries: descending σ(u, ·),
-            // ascending-id tie break (total: ids are unique per slice).
-            let by_sigma = |a: &(VertexId, u32), b: &(VertexId, u32)| {
-                let sa = SimValue::new(a.1, d_u, g_new.degree(a.0));
-                let sb = SimValue::new(b.1, d_u, g_new.degree(b.0));
-                sb.cmp(&sa).then(a.0.cmp(&b.0))
-            };
+            let mut sorter = Sorter::new(g_new);
             if in_t[u as usize] {
                 // Edited adjacency: every incident edge was recomputed.
                 for (slot, &w) in g_new.neighbors(u).iter().enumerate() {
                     out[slot] = (w, cn_map[&(u.min(w), u.max(w))]);
                 }
-                out.sort_unstable_by(by_sigma);
+                sorter.sort(out);
                 return;
             }
             // Same neighbor list, but entries pointing into T carry a
@@ -208,7 +215,7 @@ pub(crate) fn incremental(
                         entry.1 = cn_map[&(u.min(entry.0), u.max(entry.0))];
                     }
                 }
-                out.sort_unstable_by(by_sigma);
+                sorter.sort(out);
                 return;
             }
             // Sparse repair: compact the keyed-as-before entries (one
@@ -225,10 +232,7 @@ pub(crate) fn incremental(
                 }
             }
             for &e in &patched {
-                // Never `Equal`: e's id is absent from the compacted run.
-                let pos = out[..w]
-                    .binary_search_by(|probe| by_sigma(probe, &e))
-                    .unwrap_or_else(|i| i);
+                let pos = insert_position(g_new, &out[..w], e);
                 out.copy_within(pos..w, pos + 1);
                 out[pos] = e;
                 w += 1;

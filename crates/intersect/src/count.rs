@@ -1,130 +1,120 @@
 //! Exact intersection counting (no early termination).
 //!
 //! `CompSim` only needs the similarity *predicate*, but two consumers
-//! need the exact count `|N(u) ∩ N(v)|`:
+//! need the exact count `|N(u) ∩ N(v)|`: GS*-Index construction and
+//! repair (the index stores every edge's exact similarity so any (ε, µ)
+//! can be answered later), and the triangle count of
+//! `ppscan_graph::analysis`.
 //!
-//! * index construction (GS*-Index stores every edge's exact similarity
-//!   so any (ε, µ) can be answered later), and
-//! * SCAN-XP-style exhaustive baselines.
-//!
-//! [`count`] dispatches to a block-based all-pairs SIMD counter (the same
-//! rotate-and-compare scheme as [`crate::simd_block`], minus the bound
-//! bookkeeping) when the CPU supports it, falling back to the scalar
-//! merge count.
+//! Both count many lists against the same one: every edge of `u` that
+//! `u` is responsible for intersects `N(u)` with another list. So the
+//! primitive is a [`Bitmap`] over vertex ids: [`mark`](Bitmap::mark)
+//! `N(u)` once, [`count`](Bitmap::count) each other list against it in
+//! `O(|N(v)|)`, and [`unmark`](Bitmap::unmark) `N(u)` before the next
+//! vertex. Counting from the endpoint with the longer list costs
+//! `min(d[u], d[v])` per edge, where a pairwise merge costs
+//! `d[u] + d[v]`. [`crate::merge::count_full`] is the scalar pairwise
+//! reference.
 
 use crate::counters;
-use crate::merge;
 
-/// Exact `|a ∩ b|` for sorted, strictly increasing slices, using the
-/// widest SIMD available.
-pub fn count(a: &[u32], b: &[u32]) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::simd::avx512_available() {
-            // SAFETY: feature checked; loads are bounds-guarded.
-            return unsafe { count_avx512(a, b) };
-        }
-        if crate::simd::avx2_available() {
-            // SAFETY: feature checked; loads are bounds-guarded.
-            return unsafe { count_avx2(a, b) };
-        }
-    }
-    merge::count_full(a, b)
+/// A set of ids in `0..n`, one bit each, holding at most one marked list
+/// at a time.
+///
+/// Ids must be below `n`; the bitmap holds whole 64-bit words, and an id
+/// past its last word panics. [`unmark`](Self::unmark) clears only the
+/// bits of the list it is given, so marking, counting and unmarking a
+/// list leaves the bitmap as it found it.
+#[derive(Debug)]
+pub struct Bitmap {
+    words: Vec<u64>,
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: contract — call only after `is_x86_feature_detected!("avx2")`
-// (checked by the dispatching wrapper above).
-unsafe fn count_avx2(a: &[u32], b: &[u32]) -> u64 {
-    use std::arch::x86_64::*;
-    const LANES: usize = 8;
-    let rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-    let (mut i, mut j, mut cn) = (0usize, 0usize, 0u64);
-    while i + LANES <= a.len() && j + LANES <= b.len() {
-        // SAFETY: guarded by the loop condition.
-        let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const _);
-        let vb = _mm256_loadu_si256(b.as_ptr().add(j) as *const _);
-        let mut hits = _mm256_cmpeq_epi32(va, vb);
-        let mut vb_rot = vb;
-        for _ in 1..LANES {
-            vb_rot = _mm256_permutevar8x32_epi32(vb_rot, rot1);
-            hits = _mm256_or_si256(hits, _mm256_cmpeq_epi32(va, vb_rot));
-        }
-        cn += (_mm256_movemask_ps(_mm256_castsi256_ps(hits)) as u32).count_ones() as u64;
-        // SAFETY: tail indices below the guarded bounds.
-        let amax = *a.get_unchecked(i + LANES - 1);
-        let bmax = *b.get_unchecked(j + LANES - 1);
-        if amax <= bmax {
-            i += LANES;
-        }
-        if bmax <= amax {
-            j += LANES;
+impl Bitmap {
+    /// An empty bitmap over `0..n`: `n` bits, zeroed.
+    pub fn new(n: usize) -> Bitmap {
+        Bitmap {
+            words: vec![0; n.div_ceil(64)],
         }
     }
-    counters::record_scanned((i + j) as u64);
-    // The final live blocks were never compared all-pairs (each loop
-    // iteration retires at least one block), so the scalar tail cannot
-    // double-count.
-    cn + merge::count_full(&a[i..], &b[j..])
+
+    /// Marks every id of `ids`.
+    #[inline]
+    pub fn mark(&mut self, ids: &[u32]) {
+        for &x in ids {
+            self.words[x as usize >> 6] |= 1 << (x & 63);
+        }
+    }
+
+    /// How many ids of `ids` are marked: `|marked ∩ ids|` when `ids` is
+    /// duplicate free.
+    #[inline]
+    pub fn count(&self, ids: &[u32]) -> u64 {
+        counters::record_scanned(ids.len() as u64);
+        ids.iter()
+            .map(|&x| (self.words[x as usize >> 6] >> (x & 63)) & 1)
+            .sum()
+    }
+
+    /// Clears every id of `ids`.
+    #[inline]
+    pub fn unmark(&mut self, ids: &[u32]) {
+        for &x in ids {
+            self.words[x as usize >> 6] &= !(1 << (x & 63));
+        }
+    }
+
+    /// Whether no id is marked.
+    #[cfg(test)]
+    pub(crate) fn is_clear(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-// SAFETY: contract — call only after
-// `is_x86_feature_detected!("avx512f")` (checked by the wrapper above).
-unsafe fn count_avx512(a: &[u32], b: &[u32]) -> u64 {
-    use std::arch::x86_64::*;
-    const LANES: usize = 16;
-    let rot1 = _mm512_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0);
-    let (mut i, mut j, mut cn) = (0usize, 0usize, 0u64);
-    while i + LANES <= a.len() && j + LANES <= b.len() {
-        // SAFETY: guarded by the loop condition.
-        let va = _mm512_loadu_si512(a.as_ptr().add(i) as *const _);
-        let vb = _mm512_loadu_si512(b.as_ptr().add(j) as *const _);
-        let mut hits: u16 = _mm512_cmpeq_epi32_mask(va, vb);
-        let mut vb_rot = vb;
-        for _ in 1..LANES {
-            vb_rot = _mm512_permutexvar_epi32(rot1, vb_rot);
-            hits |= _mm512_cmpeq_epi32_mask(va, vb_rot);
-        }
-        cn += hits.count_ones() as u64;
-        // SAFETY: tail indices below the guarded bounds.
-        let amax = *a.get_unchecked(i + LANES - 1);
-        let bmax = *b.get_unchecked(j + LANES - 1);
-        if amax <= bmax {
-            i += LANES;
-        }
-        if bmax <= amax {
-            j += LANES;
-        }
-    }
-    counters::record_scanned((i + j) as u64);
-    cn + merge::count_full(&a[i..], &b[j..])
+/// `|a ∩ b|` through `bits`: mark `a`, count `b`, unmark `a`.
+#[cfg(test)]
+pub(crate) fn count_through(bits: &mut Bitmap, a: &[u32], b: &[u32]) -> u64 {
+    bits.mark(a);
+    let c = bits.count(b);
+    bits.unmark(a);
+    c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge;
+
+    /// [`count_through`], checking that the bitmap is clear afterwards.
+    fn bitmap_count(bits: &mut Bitmap, a: &[u32], b: &[u32]) -> u64 {
+        let c = count_through(bits, a, b);
+        assert!(bits.is_clear(), "unmark left bits behind");
+        c
+    }
 
     #[test]
     fn matches_merge_on_grid() {
+        let mut bits = Bitmap::new(3 * 129);
         for la in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 129] {
             for lb in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 129] {
                 let a: Vec<u32> = (0..la as u32).map(|x| x * 3).collect();
                 let b: Vec<u32> = (0..lb as u32).map(|x| x * 2).collect();
-                assert_eq!(count(&a, &b), merge::count_full(&a, &b), "la={la} lb={lb}");
+                let expect = merge::count_full(&a, &b);
+                assert_eq!(bitmap_count(&mut bits, &a, &b), expect, "la={la} lb={lb}");
+                assert_eq!(bitmap_count(&mut bits, &b, &a), expect, "la={la} lb={lb}");
             }
         }
     }
 
     #[test]
     fn identical_and_disjoint() {
+        let mut bits = Bitmap::new(3000);
         let a: Vec<u32> = (0..1000).collect();
-        assert_eq!(count(&a, &a), 1000);
+        assert_eq!(bitmap_count(&mut bits, &a, &a), 1000);
         let b: Vec<u32> = (2000..3000).collect();
-        assert_eq!(count(&a, &b), 0);
-        assert_eq!(count(&[], &a), 0);
+        assert_eq!(bitmap_count(&mut bits, &a, &b), 0);
+        assert_eq!(bitmap_count(&mut bits, &[], &a), 0);
+        assert_eq!(bitmap_count(&mut bits, &a, &[]), 0);
     }
 
     #[test]
@@ -136,6 +126,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((x >> 33) % m as u64) as u32
         };
+        let mut bits = Bitmap::new(300);
         for round in 0..50 {
             let la = (next(200) + 1) as usize;
             let lb = (next(200) + 1) as usize;
@@ -145,7 +136,46 @@ mod tests {
             a.dedup();
             b.sort_unstable();
             b.dedup();
-            assert_eq!(count(&a, &b), merge::count_full(&a, &b), "round {round}");
+            assert_eq!(
+                bitmap_count(&mut bits, &a, &b),
+                merge::count_full(&a, &b),
+                "round {round}"
+            );
         }
+    }
+
+    #[test]
+    fn word_edges_are_exact() {
+        // Ids at the first and last bit of each word, and the last id of
+        // a bitmap whose length is not a multiple of 64.
+        for n in [1usize, 63, 64, 65, 127, 128, 129, 200] {
+            let mut bits = Bitmap::new(n);
+            let edges: Vec<u32> = [0u32, 63, 64, 127, 128, n as u32 - 1]
+                .into_iter()
+                .filter(|&x| (x as usize) < n)
+                .collect::<std::collections::BTreeSet<u32>>()
+                .into_iter()
+                .collect();
+            let all: Vec<u32> = (0..n as u32).collect();
+            assert_eq!(bitmap_count(&mut bits, &edges, &all), edges.len() as u64);
+            assert_eq!(bitmap_count(&mut bits, &all, &edges), edges.len() as u64);
+            for &x in &edges {
+                let neighbors: Vec<u32> = [x.wrapping_sub(1), x + 1]
+                    .into_iter()
+                    .filter(|&y| (y as usize) < n)
+                    .collect();
+                bits.mark(&[x]);
+                assert_eq!(bits.count(&[x]), 1, "n={n} id={x}");
+                assert_eq!(bits.count(&neighbors), 0, "n={n} id={x} leaks");
+                bits.unmark(&[x]);
+                assert!(bits.is_clear(), "n={n} id={x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn ids_past_the_last_word_panic() {
+        Bitmap::new(64).mark(&[64]);
     }
 }

@@ -1,13 +1,15 @@
 //! Randomized differential tests: every kernel must agree with the
 //! exhaustive reference (`merge::check_reference`) on arbitrary sorted
 //! inputs and thresholds, including the early-termination paths the
-//! random inputs exercise from both directions.
+//! random inputs exercise from both directions, and the exact-count
+//! bitmap must agree with `merge::count_full`.
 //!
 //! Formerly `proptest`-based; now driven by a seeded SplitMix64 loop so
 //! the crate builds with no external dependencies (the crate is a leaf —
 //! it cannot borrow `ppscan_graph::rng` — so the mixer is duplicated
 //! here, constants and all; see `ppscan-graph/src/rng.rs` for provenance).
 
+use crate::count::{count_through, Bitmap};
 use crate::kernel::Kernel;
 use crate::merge;
 use crate::similarity::EpsilonThreshold;
@@ -141,6 +143,62 @@ fn new_kernels_agree_with_merge_oracle_at_every_min_cn() {
             }
         }
     }
+}
+
+#[test]
+fn bitmap_count_agrees_with_merge_on_adversarial_pairs() {
+    // One bitmap over every id the pairs use (up to i32::MAX: 256 MiB of
+    // address space, of which only the marked words are ever written).
+    let mut pairs = adversarial_pairs();
+    // Ids at word edges, next to the last id of the bitmap.
+    let top = i32::MAX as u32;
+    let edges = vec![0, 63, 64, 127, 128, top];
+    pairs.push((edges.clone(), edges.clone()));
+    pairs.push((edges.clone(), (0..200).chain([top - 1, top]).collect()));
+    pairs.push((vec![62, 65, 126, 129, top - 1], edges));
+    let n = pairs
+        .iter()
+        .flat_map(|(a, b)| a.iter().chain(b))
+        .max()
+        .map_or(0, |&x| x as usize + 1);
+    let mut bits = Bitmap::new(n);
+    for (a, b) in &pairs {
+        let expect = merge::count_full(a, b);
+        assert_eq!(count_through(&mut bits, a, b), expect, "a={a:?} b={b:?}");
+        assert_eq!(count_through(&mut bits, b, a), expect, "a={a:?} b={b:?}");
+    }
+    assert!(bits.is_clear(), "unmark left bits behind");
+}
+
+#[test]
+fn bitmap_reuse_over_many_vertices_leaves_no_marks() {
+    // The index build's access pattern: one bitmap per task, each vertex
+    // marks its list, counts several others against it and unmarks.
+    let n = 5_000;
+    let mut rng = Rng(0xb17_0000);
+    let lists: Vec<Vec<u32>> = (0..300)
+        .map(|_| {
+            let mut v: Vec<u32> = (0..rng.index(120))
+                .map(|_| match rng.index(2) {
+                    0 => rng.index(256) as u32,
+                    _ => rng.index(n) as u32,
+                })
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        })
+        .collect();
+    let mut bits = Bitmap::new(n);
+    for (i, a) in lists.iter().enumerate() {
+        bits.mark(a);
+        for _ in 0..8 {
+            let b = &lists[rng.index(lists.len())];
+            assert_eq!(bits.count(b), merge::count_full(a, b), "list {i}");
+        }
+        bits.unmark(a);
+    }
+    assert!(bits.is_clear(), "unmark left bits behind");
 }
 
 #[test]

@@ -1087,12 +1087,17 @@ mod tests {
 
     #[test]
     fn detection_off_means_hooks_are_inert() {
-        assert!(!detection_active());
         let cell = ShadowCell::new("inert", 0u32);
-        std::thread::scope(|s| {
-            s.spawn(|| cell.set(1, "a"));
-            s.spawn(|| cell.set(2, "b"));
-        });
+        {
+            // Hold the session gate, so no other test's session is active
+            // while these writes run; `begin` below takes it again.
+            let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+            assert!(!detection_active());
+            std::thread::scope(|s| {
+                s.spawn(|| cell.set(1, "a"));
+                s.spawn(|| cell.set(2, "b"));
+            });
+        }
         // No session: nothing recorded, nothing to report.
         let session = DetectionSession::begin();
         assert!(session.finish().is_empty());
