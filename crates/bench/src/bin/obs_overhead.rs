@@ -16,10 +16,12 @@
 //! relaxed increments on a thread-sharded cell, and snapshotting reads
 //! are on the sampler thread, not the hot path. `--max-overhead <f>`
 //! turns the bound into a gate (exit 1 when the worst ratio exceeds it).
+//! ppSCAN runs at each thread count of `--threads`, so a run's shape does
+//! not depend on the host's core count.
 //!
 //! ```sh
 //! cargo run --release -p ppscan-bench --bin obs_overhead -- \
-//!     [--scale 1.0] [--max-overhead 0.05]
+//!     [--scale 1.0] [--threads 1,2] [--max-overhead 0.05]
 //! ```
 
 use ppscan_bench::{secs, HarnessArgs, Table};
@@ -45,16 +47,12 @@ fn main() {
     if args.eps_list == [0.2, 0.4, 0.6, 0.8] && !args.quick {
         args.eps_list = vec![0.2, 0.6]; // small eps = busiest hot path
     }
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let observed_cfg = PpScanConfig::with_threads(threads);
-    let unobserved_cfg = PpScanConfig::with_threads(threads).observe(false);
     let registry = Arc::new(MetricsRegistry::new());
-    let registry_cfg = PpScanConfig::with_threads(threads)
-        .metrics(Some(PoolMetrics::register(&registry, "pool", threads)));
 
     let mut report = ppscan_bench::figure_report("obs_overhead", &args);
     let mut table = Table::new(&[
         "dataset",
+        "threads",
         "eps",
         "off (s)",
         "observed (s)",
@@ -64,7 +62,15 @@ fn main() {
     ]);
     let mut worst: f64 = 0.0;
     for (d, g) in ppscan_bench::load_datasets(&args) {
-        for &eps in &args.eps_list {
+        for (&threads, &eps) in args
+            .threads
+            .iter()
+            .flat_map(|t| args.eps_list.iter().map(move |e| (t, e)))
+        {
+            let observed_cfg = PpScanConfig::with_threads(threads);
+            let unobserved_cfg = PpScanConfig::with_threads(threads).observe(false);
+            let registry_cfg = PpScanConfig::with_threads(threads)
+                .metrics(Some(PoolMetrics::register(&registry, "pool", threads)));
             let p = args.params(eps);
             // Best-of-N with the three configs *interleaved* per
             // repetition rather than run as consecutive blocks: machine
@@ -110,6 +116,7 @@ fn main() {
             }
             table.row(vec![
                 d.name().into(),
+                threads.to_string(),
                 format!("{eps:.1}"),
                 secs(t_off),
                 secs(t_on),
@@ -124,7 +131,8 @@ fn main() {
         .push(("worst_overhead_ratio".into(), Json::Num(worst)));
     println!(
         "\nObservability overhead: ppSCAN with tracing off / on / on+live \
-         registry sampling ({threads} threads, mu = {}); worst {:+.2}%",
+         registry sampling (threads {:?}, mu = {}); worst {:+.2}%",
+        args.threads,
         args.mu,
         worst * 100.0
     );

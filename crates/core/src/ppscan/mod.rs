@@ -8,12 +8,23 @@
 //! **Role computing** ([`roles`], Algorithm 3)
 //! 1. *Similarity pruning* — decide labels from degrees alone
 //!    (similarity-predicate pruning) and initialize roles.
-//! 2. *Core checking* — min-max pruning with local `sd`/`ed`; only the
-//!    `u < v` endpoint computes an edge (similarity reuse without
-//!    write-write conflicts).
-//! 3. *Core consolidating* — identical logic without the `u < v`
-//!    constraint, finishing roles the order constraint left undecided
-//!    (Theorems 4.1/4.2 guarantee no duplicated work and complete roles).
+//! 2. *Core checking* — min-max pruning with local `sd`/`ed`; only one
+//!    endpoint of an edge computes it (similarity reuse without
+//!    write-write conflicts). In the paper that is the `u < v` endpoint.
+//!    Under the default [`Kernel::Adaptive`] (the rank schedule), an edge
+//!    whose endpoints' degrees differ by at least 2× goes to the
+//!    higher-degree endpoint instead, and every edge is checked against
+//!    a bitmap of the computing endpoint's neighbors: `min(d[u], d[v])`
+//!    probes for a skewed edge, where a merge takes `d[u] + d[v]` steps.
+//!
+//!    *The pull* (rank schedule only) — each edge an undecided vertex
+//!    still waits on, at a decided neighbor of at least twice its
+//!    degree, is settled from that neighbor's bitmap, one marking per
+//!    neighbor.
+//! 3. *Core consolidating* — identical logic without the orientation
+//!    constraint, finishing roles the constraint left undecided, with
+//!    the pairwise kernel (Theorems 4.1/4.2 guarantee no duplicated work
+//!    and complete roles; they need only a strict total order).
 //!
 //! **Core & non-core clustering** ([`cluster`], Algorithm 4)
 //! 4. *Core clustering without / with similarity computation* — wait-free
@@ -26,8 +37,9 @@
 //!    global array (the paper's pipelined copy-back).
 //!
 //! Every phase is scheduled with the degree-based dynamic task scheduler
-//! (Algorithm 5, `ppscan-sched`), and every `CompSim` goes through the
-//! configurable [`Kernel`] — the vectorized pivot kernel by default.
+//! (Algorithm 5, `ppscan-sched`), and every pairwise `CompSim` goes
+//! through the configurable [`Kernel`]. An explicitly chosen kernel runs
+//! the paper's id-ordered schedule throughout.
 
 pub(crate) mod cluster;
 pub(crate) mod roles;
@@ -50,9 +62,13 @@ use std::time::Instant;
 pub struct PpScanConfig {
     /// Worker threads (the paper sweeps 1–256; defaults to all cores).
     pub threads: usize,
-    /// `CompSim` kernel; defaults to [`Kernel::Adaptive`] (degree-ratio
-    /// dispatch between galloping and the widest available block
-    /// kernel). `Kernel::MergeEarly` reproduces the paper's "ppSCAN-NO".
+    /// `CompSim` kernel; defaults to [`Kernel::Adaptive`], which runs
+    /// core checking on the rank schedule (bitmap probes, skewed edges
+    /// from their higher-degree endpoint, then the pull) and every other
+    /// `CompSim` by degree-ratio dispatch between galloping and the
+    /// widest available block kernel. Any other kernel runs the paper's
+    /// id-ordered schedule; `Kernel::MergeEarly` reproduces its
+    /// "ppSCAN-NO".
     pub kernel: Kernel,
     /// Degree-sum threshold of the task scheduler (paper: 32768).
     pub degree_threshold: u64,
@@ -182,18 +198,7 @@ pub fn ppscan_ablation(
 
     {
         let span = Span::enter(report_glue::STAGE_CORE_CHECKING);
-        roles::check_core(
-            &shared,
-            &pool,
-            config.degree_threshold,
-            /*only_greater=*/ true,
-        );
-        roles::check_core(
-            &shared,
-            &pool,
-            config.degree_threshold,
-            /*only_greater=*/ false,
-        );
+        roles::check_roles(&shared, &pool, config.degree_threshold);
         timings.check_core = span.finish();
     }
 

@@ -1,11 +1,13 @@
 //! Role computing (paper Algorithm 3): similarity pruning, core checking
-//! and core consolidating, each a barrier-separated parallel phase.
+//! and core consolidating, each a barrier-separated parallel phase, with
+//! the rank schedule's pull between the last two.
 
-use super::shared::Shared;
+use super::shared::{Marks, Shared};
 use crate::result::Role;
 use ppscan_graph::VertexId;
 use ppscan_intersect::Similarity;
 use ppscan_sched::WorkerPool;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Phase 1 — `PruneSim(u)` for every vertex in parallel.
 ///
@@ -52,21 +54,26 @@ pub(crate) fn prune_sim(shared: &Shared<'_>, pool: &WorkerPool, degree_threshold
     );
 }
 
+/// Phases 2 and 3 — core checking, the pull, and core consolidating:
+/// every role still unknown after [`prune_sim`] is decided.
+pub(crate) fn check_roles(shared: &Shared<'_>, pool: &WorkerPool, degree_threshold: u64) {
+    check_core(shared, pool, degree_threshold, /*oriented=*/ true);
+    pull(shared, pool, degree_threshold);
+    check_core(shared, pool, degree_threshold, /*oriented=*/ false);
+}
+
 /// Phases 2 and 3 — `CheckCore(u)` / `ConsolidateCore(u)` for every
 /// still-unknown vertex in parallel.
 ///
-/// With `only_greater = true` this is the core-checking phase: `u` only
-/// computes edges `(u, v)` with `u < v`, so every similarity is computed
-/// at most once across all threads (Theorem 4.1) at the price of some
-/// roles staying unknown. With `only_greater = false` it is the
-/// consolidating phase, which finishes those roles; Theorem 4.1's
-/// argument shows no edge is computed twice there either.
-pub(crate) fn check_core(
-    shared: &Shared<'_>,
-    pool: &WorkerPool,
-    degree_threshold: u64,
-    only_greater: bool,
-) {
+/// With `oriented = true` this is the core-checking phase: `u` only
+/// computes edges `(u, v)` that [`Shared::computes`] gives it (`u < v`
+/// in the paper; under the rank schedule a skewed edge goes to its
+/// higher-degree endpoint), so every similarity is computed at most once
+/// across all threads (Theorem 4.1) at the price of some roles staying
+/// unknown. With `oriented = false`
+/// it is the consolidating phase, which finishes those roles; Theorem
+/// 4.1's argument shows no edge is computed twice there either.
+fn check_core(shared: &Shared<'_>, pool: &WorkerPool, degree_threshold: u64, oriented: bool) {
     let g = shared.g;
     let n = g.num_vertices();
     pool.run_weighted(
@@ -82,40 +89,74 @@ pub(crate) fn check_core(
             }
         },
         |range| {
-            // Per-task scratch reused across the range's vertices: the
-            // slots the counting loop saw as Unknown.
-            let mut pending: Vec<usize> = Vec::new();
+            let mut scratch = Scratch::new(shared);
             for u in range {
                 if shared.role_unknown(u) {
-                    check_core_vertex(shared, u, only_greater, &mut pending);
+                    check_core_vertex(shared, u, oriented, &mut scratch);
                 }
             }
         },
     );
 }
 
+/// Per-task scratch of [`check_core_vertex`], reused across the task's
+/// vertices.
+struct Scratch<'s> {
+    /// The slots the counting loop saw as `Unknown`.
+    pending: Vec<usize>,
+    /// The bitmap the rank schedule checks edges against.
+    marks: Marks<'s>,
+}
+
+impl<'s> Scratch<'s> {
+    fn new(shared: &'s Shared<'_>) -> Self {
+        Scratch {
+            pending: Vec::new(),
+            marks: shared.marks(),
+        }
+    }
+}
+
 /// Algorithm 3 lines 21–33 for one vertex.
 ///
-/// `pending` is caller-provided scratch (cleared here) listing the edge
-/// slots the first loop saw as `Unknown`. The second loop walks exactly
-/// those slots and **re-reads** each one: a label published by a
-/// concurrent thread between the two loops is *counted* rather than
-/// skipped. (The pre-fix code skipped every already-known slot in the
-/// second loop, so a label that became known between the loops was never
-/// folded into `sd`/`ed` and the final role decision could be wrong —
-/// the consolidation race.) With the re-read, every edge slot of `u` is
-/// counted exactly once, so after a full consolidating pass `sd == ed`
-/// holds exactly.
-fn check_core_vertex(
-    shared: &Shared<'_>,
+/// `scratch.pending` lists the edge slots the first loop saw as
+/// `Unknown`. The second loop walks exactly those slots and **re-reads**
+/// each one: a label published by a concurrent thread between the two
+/// loops is *counted* rather than skipped. (The pre-fix code skipped
+/// every already-known slot in the second loop, so a label that became
+/// known between the loops was never folded into `sd`/`ed` and the final
+/// role decision could be wrong — the consolidation race.) With the
+/// re-read, every edge slot of `u` is counted exactly once, so after a
+/// full consolidating pass `sd == ed` holds exactly.
+///
+/// Under the rank schedule the checking pass marks `N(u)` at the first
+/// edge it computes; it is unmarked on every exit.
+fn check_core_vertex<'s>(
+    shared: &'s Shared<'_>,
     u: VertexId,
-    only_greater: bool,
-    pending: &mut Vec<usize>,
+    oriented: bool,
+    scratch: &mut Scratch<'s>,
 ) {
+    let role = decide_vertex(shared, u, oriented, scratch);
+    scratch.marks.clear();
+    if let Some(role) = role {
+        shared.set_role(u, role);
+    }
+}
+
+/// The body of [`check_core_vertex`]: `u`'s role, or `None` when the
+/// checking pass's orientation left it undecided.
+fn decide_vertex<'s>(
+    shared: &'s Shared<'_>,
+    u: VertexId,
+    oriented: bool,
+    scratch: &mut Scratch<'s>,
+) -> Option<Role> {
     let g = shared.g;
     let mu = shared.params.mu as i64;
     let mut sd = 0i64;
     let mut ed = g.degree(u) as i64;
+    let pending = &mut scratch.pending;
     pending.clear();
 
     // First loop (lines 22–30): initialize the local bounds from labels
@@ -126,15 +167,13 @@ fn check_core_vertex(
             Similarity::Sim => {
                 sd += 1;
                 if sd >= mu {
-                    shared.set_role(u, Role::Core);
-                    return;
+                    return Some(Role::Core);
                 }
             }
             Similarity::NSim => {
                 ed -= 1;
                 if ed < mu {
-                    shared.set_role(u, Role::NonCore);
-                    return;
+                    return Some(Role::NonCore);
                 }
             }
             Similarity::Unknown => pending.push(eo),
@@ -152,17 +191,23 @@ fn check_core_vertex(
     // Second loop (lines 31–33): settle every slot the first loop left
     // open — computing it ourselves, or counting the label a concurrent
     // thread published in the meantime. During core checking
-    // (`only_greater`) the `u < v` constraint still bounds what *we*
-    // compute, but freshly-published labels are counted regardless of
-    // direction: they are final, and ignoring them is exactly the race.
+    // (`oriented`) the orientation still bounds what *we* compute, but
+    // freshly-published labels are counted regardless of direction: they
+    // are final, and ignoring them is exactly the race.
     for &eo in pending.iter() {
         let v = g.edge_dst(eo);
         let label = match shared.sim.get(eo) {
             Similarity::Unknown => {
-                if only_greater && v <= u {
+                if oriented && !shared.computes(u, v) {
                     continue;
                 }
-                shared.comp_sim_both(u, v, eo)
+                if oriented && shared.rank_schedule {
+                    let (nu, nv) = (g.neighbors(u), g.neighbors(v));
+                    let min_cn = shared.params.min_cn(nu.len(), nv.len());
+                    shared.publish_both(eo, scratch.marks.check(nu, nv, min_cn))
+                } else {
+                    shared.comp_sim_both(u, v, eo)
+                }
             }
             published => {
                 // Reaching this arm means the slot was `Unknown` in the
@@ -186,15 +231,13 @@ fn check_core_vertex(
             Similarity::Sim => {
                 sd += 1;
                 if sd >= mu {
-                    shared.set_role(u, Role::Core);
-                    return;
+                    return Some(Role::Core);
                 }
             }
             Similarity::NSim => {
                 ed -= 1;
                 if ed < mu {
-                    shared.set_role(u, Role::NonCore);
-                    return;
+                    return Some(Role::NonCore);
                 }
             }
             Similarity::Unknown => unreachable!("kernel always decides"),
@@ -202,21 +245,111 @@ fn check_core_vertex(
     }
 
     // All edges of u accounted: the bounds are exact and must decide —
-    // unless the u < v constraint skipped edges, in which case the role
-    // stays unknown for the consolidating phase.
-    if !only_greater {
-        // Every slot was counted exactly once (first loop or pending
-        // walk), so the bounds coincide: sd == ed == |similar edges|.
-        // Under the deterministic reference schedule this is promoted to
-        // a hard assert — any violation is a counting bug, not schedule
-        // noise.
-        if shared.strict_invariants {
-            assert_eq!(sd, ed, "exact bounds must coincide for vertex {u}");
-        } else {
-            debug_assert_eq!(sd, ed, "exact bounds must coincide");
-        }
-        shared.set_role(u, if sd >= mu { Role::Core } else { Role::NonCore });
+    // unless the orientation skipped edges, in which case the role stays
+    // unknown for the consolidating phase.
+    if oriented {
+        return None;
     }
+    // Every slot was counted exactly once (first loop or pending walk),
+    // so the bounds coincide: sd == ed == |similar edges|. Under the
+    // deterministic reference schedule this is promoted to a hard assert
+    // — any violation is a counting bug, not schedule noise.
+    if shared.strict_invariants {
+        assert_eq!(sd, ed, "exact bounds must coincide for vertex {u}");
+    } else {
+        debug_assert_eq!(sd, ed, "exact bounds must coincide");
+    }
+    Some(if sd >= mu { Role::Core } else { Role::NonCore })
+}
+
+/// The pull, between core checking and consolidating, under the rank
+/// schedule only.
+///
+/// After core checking, every still-`Unknown` slot `(u, v)` of an
+/// undecided `u` points at a `v` that the edge was given to and that was
+/// decided before it reached the edge. Consolidation would compute each
+/// such edge pairwise from `u`, scanning `N(v)` once per `u`: a hub pays
+/// its list again for every low-degree neighbor. Instead, undecided
+/// vertices flag each such `v` with `d[v] ≥ 2·d[u]`
+/// ([`super::shared::SKEW_RATIO`]), and each flagged `v` marks `N(v)`
+/// once and settles those slots by probing the undecided vertices'
+/// lists. Each slot is settled at most
+/// once: only `v` pulls the edge, and consolidation re-reads the label.
+/// Below the ratio the edge stays with consolidation, whose per-vertex
+/// early termination would skip some edges a pull computes, which is the
+/// better trade on balanced graphs. Costs O(Σ degree of undecided and
+/// flagged vertices) plus the probes.
+fn pull(shared: &Shared<'_>, pool: &WorkerPool, degree_threshold: u64) {
+    if !shared.rank_schedule {
+        return;
+    }
+    let g = shared.g;
+    let n = g.num_vertices();
+    // One flag per vertex, set only to `true` and read after the join
+    // barrier that ends the flagging pass.
+    let flagged: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+    pool.run_weighted(
+        n,
+        degree_threshold,
+        |u| {
+            if shared.role_unknown(u) {
+                g.degree(u) as u64
+            } else {
+                0
+            }
+        },
+        |range| {
+            for u in range {
+                if !shared.role_unknown(u) {
+                    continue;
+                }
+                for eo in g.neighbor_range(u) {
+                    if shared.sim.get(eo) != Similarity::Unknown {
+                        continue;
+                    }
+                    let v = g.edge_dst(eo);
+                    // The at-most-once argument: the edge was `v`'s to
+                    // compute, and `v` stopped before it.
+                    if shared.strict_invariants || cfg!(debug_assertions) {
+                        assert!(
+                            shared.computes(v, u) && !shared.role_unknown(v),
+                            "slot {eo} of {u} left open by {v}"
+                        );
+                    }
+                    if shared.dominates(v, u) {
+                        flagged[v as usize].store(true, Ordering::Relaxed);
+                    }
+                }
+            }
+        },
+    );
+    let is_flagged = |v: VertexId| flagged[v as usize].load(Ordering::Relaxed);
+    pool.run_weighted(
+        n,
+        degree_threshold,
+        |v| if is_flagged(v) { g.degree(v) as u64 } else { 0 },
+        |range| {
+            let mut marks = shared.marks();
+            for v in range {
+                if !is_flagged(v) {
+                    continue;
+                }
+                let nv = g.neighbors(v);
+                for eo in g.neighbor_range(v) {
+                    let u = g.edge_dst(eo);
+                    if shared.role_unknown(u)
+                        && shared.dominates(v, u)
+                        && shared.sim.get(eo) == Similarity::Unknown
+                    {
+                        let nu = g.neighbors(u);
+                        let min_cn = shared.params.min_cn(nv.len(), nu.len());
+                        shared.publish_both(eo, marks.check(nv, nu, min_cn));
+                    }
+                }
+                marks.clear();
+            }
+        },
+    );
 }
 
 #[cfg(test)]
@@ -241,8 +374,7 @@ mod tests {
         );
         let pool = WorkerPool::new(threads);
         prune_sim(&shared, &pool, 64);
-        check_core(&shared, &pool, 64, true);
-        check_core(&shared, &pool, 64, false);
+        check_roles(&shared, &pool, 64);
         shared.roles_vec()
     }
 
@@ -307,8 +439,7 @@ mod tests {
         prune_sim(&shared, &pool, 64);
         let scope = CounterScope::new();
         let (delta, _) = scope.measure(|| {
-            check_core(&shared, &pool, 64, true);
-            check_core(&shared, &pool, 64, false);
+            check_roles(&shared, &pool, 64);
         });
         assert_eq!(delta.compsim_invocations, 0);
     }
@@ -339,8 +470,12 @@ mod tests {
                 sim.set(rev, ppscan_intersect::Similarity::Sim);
             }
         }));
-        let mut pending = Vec::new();
-        check_core_vertex(&shared, 0, /*only_greater=*/ false, &mut pending);
+        check_core_vertex(
+            &shared,
+            0,
+            /*oriented=*/ false,
+            &mut Scratch::new(&shared),
+        );
         assert!(
             shared.is_core(0),
             "borderline core vertex must count the label published in the window"
@@ -358,28 +493,148 @@ mod tests {
         // checked over *all* interleavings (not just the hook-injected
         // one) by `ppscan-check`'s `simstore-publish` and
         // `pending-slot-invariant` scenarios.
+        //
+        // Two passes race: consolidation under the paper's schedule,
+        // and core checking under the rank schedule, where K5's equal
+        // degrees give every edge of vertex 0 to 0 and 0 checks its
+        // other three edges against a bitmap of N(0). There a missed
+        // label leaves `sd = 3` and the role undecided, and the bitmap
+        // must go back clean.
         use ppscan_sched::ExecutionStrategy;
         let g = gen::complete(5);
-        let slots: Vec<usize> = g.neighbor_range(0).collect();
-        for (i, &eo) in slots.iter().enumerate() {
-            let params = ScanParams::new(0.5, 4);
-            let mut shared =
-                Shared::new(&g, params, Kernel::MergeEarly, ExecutionStrategy::Parallel);
-            let v = g.edge_dst(eo);
-            let rev = g.edge_offset(v, 0).unwrap();
-            shared.between_loops_hook = Some(Box::new(move |sim, u| {
-                if u == 0 {
-                    sim.set(eo, ppscan_intersect::Similarity::Sim);
-                    sim.set(rev, ppscan_intersect::Similarity::Sim);
-                }
-            }));
-            let mut pending = Vec::new();
-            check_core_vertex(&shared, 0, /*only_greater=*/ false, &mut pending);
-            assert!(
-                shared.is_core(0),
-                "slot {i} (edge offset {eo}): label published in the window must be counted"
-            );
+        for (kernel, oriented, x) in [(Kernel::MergeEarly, false, 0), (Kernel::Adaptive, true, 0)] {
+            let slots: Vec<usize> = g.neighbor_range(x).collect();
+            for (i, &eo) in slots.iter().enumerate() {
+                let params = ScanParams::new(0.5, 4);
+                let mut shared = Shared::new(&g, params, kernel, ExecutionStrategy::Parallel);
+                let v = g.edge_dst(eo);
+                let rev = g.edge_offset(v, x).unwrap();
+                shared.between_loops_hook = Some(Box::new(move |sim, u| {
+                    if u == x {
+                        sim.set(eo, ppscan_intersect::Similarity::Sim);
+                        sim.set(rev, ppscan_intersect::Similarity::Sim);
+                    }
+                }));
+                check_core_vertex(&shared, x, oriented, &mut Scratch::new(&shared));
+                assert!(
+                    shared.is_core(x),
+                    "{kernel}, vertex {x}, slot {i} (edge offset {eo}): label published \
+                     in the window must be counted"
+                );
+                let expect_bitmaps = usize::from(oriented);
+                assert_eq!(shared.handed_back_bitmaps(), (expect_bitmaps, true));
+            }
         }
+    }
+
+    #[test]
+    fn rank_schedule_matches_reference_under_every_strategy() {
+        // The rank schedule at one vertex per task, under every strategy
+        // (the sequential one with its hard asserts) and thread count:
+        // regular graphs, where every edge keeps the id rule, and hub
+        // graphs, where skewed edges go to the hub and the pull runs.
+        // Each run allocates at most one bitmap per worker and gets
+        // every one back clean.
+        use ppscan_sched::ExecutionStrategy;
+        let graphs = [
+            gen::complete(9),
+            gen::cycle(12),
+            gen::grid(5, 6),
+            gen::star(24),
+            gen::clique_chain(5, 4),
+            gen::rmat_social(8, 6, 2),
+        ];
+        let strategies = [
+            ExecutionStrategy::Parallel,
+            ExecutionStrategy::SequentialDeterministic,
+            ExecutionStrategy::AdversarialSeeded { seed: 7 },
+            ExecutionStrategy::Modeled,
+        ];
+        let mut pulled = 0usize;
+        for g in &graphs {
+            for (eps, mu) in [(0.2, 2), (0.5, 3), (0.8, 2)] {
+                let params = ScanParams::new(eps, mu);
+                let expect = verify::reference_clustering(g, params).roles;
+                for strategy in strategies {
+                    for threads in [1usize, 2, 4] {
+                        let shared = Shared::new(g, params, Kernel::Adaptive, strategy);
+                        let pool = WorkerPool::with_strategy(threads, strategy);
+                        prune_sim(&shared, &pool, 1);
+                        check_core(&shared, &pool, 1, true);
+                        pulled += g
+                            .directed_edges()
+                            .filter(|&(u, v, eo)| {
+                                shared.role_unknown(u)
+                                    && shared.sim.get(eo) == Similarity::Unknown
+                                    && shared.dominates(v, u)
+                            })
+                            .count();
+                        pull(&shared, &pool, 1);
+                        check_core(&shared, &pool, 1, false);
+                        let at = format!(
+                            "n={} eps={eps} {strategy} threads={threads}",
+                            g.num_vertices()
+                        );
+                        assert_eq!(shared.roles_vec(), expect, "{at}");
+                        let (bitmaps, clean) = shared.handed_back_bitmaps();
+                        assert!(
+                            bitmaps <= threads && clean,
+                            "{at}: {bitmaps} bitmaps, clean {clean}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(pulled > 0, "the sweep must reach the pull");
+    }
+
+    #[test]
+    fn pull_settles_hub_edges_before_consolidation() {
+        // A star with chords between consecutive leaves, ε = 0.3, µ = 3:
+        // pruning makes every chord similar, which leaves the middle
+        // leaves one similar edge short of core. The hub outranks every
+        // leaf, decides Core after its first three edges and leaves the
+        // rest open, so those leaves stay undecided through core
+        // checking. Each has degree 3 against the hub's 30, so the pull
+        // settles all their hub edges from one marking of N(hub), and
+        // consolidation computes nothing.
+        use ppscan_intersect::counters::CounterScope;
+        use ppscan_sched::ExecutionStrategy;
+        let mut b = ppscan_graph::GraphBuilder::new();
+        for leaf in 1..=30u32 {
+            b = b.add_edge(0, leaf);
+            if leaf > 1 {
+                b = b.add_edge(leaf - 1, leaf);
+            }
+        }
+        let g = b.build();
+        let params = ScanParams::new(0.3, 3);
+        let strategy = ExecutionStrategy::SequentialDeterministic;
+        let shared = Shared::new(&g, params, Kernel::Adaptive, strategy);
+        let pool = WorkerPool::with_strategy(1, strategy);
+        prune_sim(&shared, &pool, 1);
+        check_core(&shared, &pool, 1, true);
+        let open_to_undecided = |shared: &Shared<'_>| {
+            g.neighbor_range(0)
+                .filter(|&eo| {
+                    shared.sim.get(eo) == Similarity::Unknown && shared.role_unknown(g.edge_dst(eo))
+                })
+                .count()
+        };
+        assert!(shared.is_core(0), "the hub decides early");
+        assert!(
+            open_to_undecided(&shared) > 20,
+            "undecided leaves wait on the hub"
+        );
+        pull(&shared, &pool, 1);
+        assert_eq!(open_to_undecided(&shared), 0, "the pull settles them");
+        let (d, ()) = CounterScope::new().measure(|| check_core(&shared, &pool, 1, false));
+        assert_eq!(
+            d.compsim_invocations, 0,
+            "consolidation finds every slot settled"
+        );
+        let expect = verify::reference_clustering(&g, params).roles;
+        assert_eq!(shared.roles_vec(), expect);
     }
 
     #[test]
@@ -411,8 +666,7 @@ mod tests {
                     // Low degree threshold so the phases split into
                     // several tasks and the rotation actually permutes.
                     prune_sim(&shared, &pool, 8);
-                    check_core(&shared, &pool, 8, true);
-                    check_core(&shared, &pool, 8, false);
+                    check_roles(&shared, &pool, 8);
                     shared.roles_vec()
                 },
             );

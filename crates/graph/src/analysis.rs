@@ -47,9 +47,9 @@ pub fn largest_component_size(g: &CsrGraph) -> usize {
 
 /// Exact global triangle count, via one neighborhood intersection per
 /// edge (each triangle is counted once per edge and divided by 3). Each
-/// edge is counted by its endpoint of higher rank (degree, then id),
-/// which marks its own neighbors in a bitmap once and scans the other
-/// endpoint's shorter list against it.
+/// edge is counted by the endpoint that outranks the other
+/// ([`CsrGraph::outranks`]), which marks its own neighbors in a bitmap
+/// once and scans the other endpoint's shorter list against it.
 pub fn triangle_count(g: &CsrGraph) -> u64 {
     let mut marks = ppscan_intersect::count::Bitmap::new(g.num_vertices());
     let mut total = 0u64;
@@ -57,7 +57,7 @@ pub fn triangle_count(g: &CsrGraph) -> u64 {
         let nu = g.neighbors(u);
         marks.mark(nu);
         for &v in nu {
-            if (g.degree(v), v) < (nu.len(), u) {
+            if g.outranks(u, v) {
                 total += marks.count(g.neighbors(v));
             }
         }

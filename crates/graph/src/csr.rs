@@ -235,6 +235,16 @@ impl CsrGraph {
         self.offsets[u as usize + 1] - self.offsets[u as usize]
     }
 
+    /// Whether `u` outranks `v`: higher degree, or equal degree and higher
+    /// id. A strict total order on vertices; the passes that count or
+    /// check an edge from one endpoint against a bitmap of its neighbors
+    /// pick the endpoint that outranks the other, so each edge scans the
+    /// shorter list.
+    #[inline]
+    pub fn outranks(&self, u: VertexId, v: VertexId) -> bool {
+        (self.degree(u), u) > (self.degree(v), v)
+    }
+
     /// The half-open CSR offset range of `u`'s neighbor slice
     /// (`off[u] .. off[u + 1]` in the paper's notation).
     #[inline]

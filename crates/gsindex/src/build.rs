@@ -17,13 +17,6 @@ pub(crate) fn bitmap_task_cut(n: usize) -> u64 {
     DEFAULT_DEGREE_THRESHOLD.max(n as u64 / 8)
 }
 
-/// Whether `u` outranks `v`: higher degree, or equal degree and higher
-/// id. An edge's cn is counted by the endpoint that outranks the other,
-/// so each count scans the shorter list.
-pub(crate) fn outranks(graph: &CsrGraph, u: VertexId, v: VertexId) -> bool {
-    (graph.degree(u), u) > (graph.degree(v), v)
-}
-
 impl GsIndex {
     /// Builds the index over `graph` with `threads` workers, taking
     /// shared ownership of the graph. Counting costs O(Σ over edges of
@@ -50,7 +43,7 @@ impl GsIndex {
                 marks.mark(nu);
                 for eo in graph.neighbor_range(u) {
                     let v = graph.edge_dst(eo);
-                    if outranks(&graph, u, v) {
+                    if graph.outranks(u, v) {
                         let c = marks.count(graph.neighbors(v)) as u32 + 2;
                         cn[eo].store(c, Ordering::Relaxed);
                         cn[graph.rev_offset(eo)].store(c, Ordering::Relaxed);

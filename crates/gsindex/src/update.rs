@@ -20,7 +20,7 @@
 //! vertex's role at any `(ε, µ)` is read off its µ-th neighbor-order
 //! entry, so repairing the slices repairs the roles.
 
-use crate::build::{bitmap_task_cut, outranks};
+use crate::build::bitmap_task_cut;
 use crate::order::{insert_position, Sorter};
 use crate::GsIndex;
 use ppscan_graph::delta::{AppliedDelta, DeltaError, GraphDelta};
@@ -124,7 +124,7 @@ pub(crate) fn incremental(
                 let nt = g_new.neighbors(t);
                 marks.mark(nt);
                 for &w in nt {
-                    if in_t[w as usize] && outranks(g_new, w, t) {
+                    if in_t[w as usize] && g_new.outranks(w, t) {
                         continue;
                     }
                     let c = marks.count(g_new.neighbors(w)) as u32 + 2;

@@ -1,22 +1,27 @@
-//! Exact intersection counting (no early termination).
+//! Intersection against a bitmap of one endpoint's neighbors.
 //!
-//! `CompSim` only needs the similarity *predicate*, but two consumers
-//! need the exact count `|N(u) ∩ N(v)|`: GS*-Index construction and
-//! repair (the index stores every edge's exact similarity so any (ε, µ)
-//! can be answered later), and the triangle count of
-//! `ppscan_graph::analysis`.
-//!
-//! Both count many lists against the same one: every edge of `u` that
-//! `u` is responsible for intersects `N(u)` with another list. So the
-//! primitive is a [`Bitmap`] over vertex ids: [`mark`](Bitmap::mark)
-//! `N(u)` once, [`count`](Bitmap::count) each other list against it in
-//! `O(|N(v)|)`, and [`unmark`](Bitmap::unmark) `N(u)` before the next
-//! vertex. Counting from the endpoint with the longer list costs
+//! Three consumers intersect many lists against the same one: the exact
+//! count `|N(u) ∩ N(v)|` of GS*-Index construction and repair (the index
+//! stores every edge's exact similarity so any (ε, µ) can be answered
+//! later) and of the triangle count of `ppscan_graph::analysis`, and the
+//! early-terminating `CompSim` predicate of ppSCAN's core checking. In
+//! each, every edge of `u` that `u` is responsible for intersects `N(u)`
+//! with another list. So the primitive is a [`Bitmap`] over vertex ids:
+//! [`mark`](Bitmap::mark) `N(u)` once, [`count`](Bitmap::count) or
+//! [`check`](Bitmap::check) each other list against it in `O(|N(v)|)`,
+//! and [`unmark`](Bitmap::unmark) `N(u)` before the next vertex.
+//! Working from the endpoint with the longer list costs
 //! `min(d[u], d[v])` per edge, where a pairwise merge costs
-//! `d[u] + d[v]`. [`crate::merge::count_full`] is the scalar pairwise
-//! reference.
+//! `d[u] + d[v]`. [`crate::merge::count_full`] and
+//! [`crate::merge::check_early`] are the scalar pairwise references.
 
 use crate::counters;
+use crate::similarity::Similarity;
+
+/// Ids [`Bitmap::check`] probes between two tests of its exits. A
+/// constant, not a setting: large enough to keep the bound tests off the
+/// per-id path, small enough that an exit overshoots by few probes.
+const CHECK_CHUNK: usize = 16;
 
 /// A set of ids in `0..n`, one bit each, holding at most one marked list
 /// at a time.
@@ -56,6 +61,43 @@ impl Bitmap {
             .sum()
     }
 
+    /// `CompSim` of the adjacent pair whose first list is marked and
+    /// whose second is `ids`: whether `|marked ∩ ids| + 2 ≥ min_cn`,
+    /// deciding as early as the bounds allow. Same contract as
+    /// [`crate::merge::check_early`] with `a` the marked list, except
+    /// that only `|ids|` bounds the count: `cn` starts at 2 and its upper
+    /// bound at `|ids| + 2`. The bounds are tested after every
+    /// [`CHECK_CHUNK`] probes, so every exit is exact. Records one
+    /// invocation and the probed count in one thread-local access.
+    #[inline]
+    pub fn check(&self, ids: &[u32], min_cn: u64) -> Similarity {
+        let mut cn = 2u64;
+        let mut upper = ids.len() as u64 + 2;
+        let mut probed = 0usize;
+        if cn < min_cn && upper >= min_cn {
+            for chunk in ids.chunks(CHECK_CHUNK) {
+                let hits: u64 = chunk
+                    .iter()
+                    .map(|&x| (self.words[x as usize >> 6] >> (x & 63)) & 1)
+                    .sum();
+                probed += chunk.len();
+                cn += hits;
+                upper -= chunk.len() as u64 - hits;
+                if cn >= min_cn || upper < min_cn {
+                    break;
+                }
+            }
+        }
+        counters::record_invocation_scanned(probed as u64);
+        // Once every id is probed `cn == upper`, so the loop always
+        // leaves one of the two bounds decided.
+        if cn >= min_cn {
+            Similarity::Sim
+        } else {
+            Similarity::NSim
+        }
+    }
+
     /// Clears every id of `ids`.
     #[inline]
     pub fn unmark(&mut self, ids: &[u32]) {
@@ -64,9 +106,8 @@ impl Bitmap {
         }
     }
 
-    /// Whether no id is marked.
-    #[cfg(test)]
-    pub(crate) fn is_clear(&self) -> bool {
+    /// Whether no id is marked: what a borrower hands back. O(n / 64).
+    pub fn is_clear(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 }

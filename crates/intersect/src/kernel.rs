@@ -33,7 +33,9 @@ pub enum Kernel {
     /// neighbor list is at least [`ADAPTIVE_GALLOP_RATIO`]× longer than
     /// the other, the best available block kernel otherwise. The mix of
     /// decisions is recorded via [`counters::record_adaptive_choice`]
-    /// so `fig4_invocations` and the ablations can report it.
+    /// so `fig4_invocations` and the ablations can report it. ppSCAN
+    /// also reads this kernel as the choice of its rank schedule, whose
+    /// core checking probes [`crate::count::Bitmap::check`] instead.
     Adaptive,
 }
 

@@ -1,8 +1,9 @@
 //! Randomized differential tests: every kernel must agree with the
 //! exhaustive reference (`merge::check_reference`) on arbitrary sorted
 //! inputs and thresholds, including the early-termination paths the
-//! random inputs exercise from both directions, and the exact-count
-//! bitmap must agree with `merge::count_full`.
+//! random inputs exercise from both directions, and the bitmap's exact
+//! count and early-terminating check must agree with
+//! `merge::count_full` and `merge::check_early`.
 //!
 //! Formerly `proptest`-based; now driven by a seeded SplitMix64 loop so
 //! the crate builds with no external dependencies (the crate is a leaf —
@@ -168,6 +169,53 @@ fn bitmap_count_agrees_with_merge_on_adversarial_pairs() {
         assert_eq!(count_through(&mut bits, b, a), expect, "a={a:?} b={b:?}");
     }
     assert!(bits.is_clear(), "unmark left bits behind");
+}
+
+#[test]
+fn bitmap_check_agrees_with_merge_check_early() {
+    use crate::counters::CounterScope;
+    // The adversarial family plus list lengths on both sides of the
+    // probe's chunk width.
+    let lengths = [0usize, 1, 15, 16, 17, 31, 33, 64, 129];
+    let mut pairs = adversarial_pairs();
+    for la in lengths {
+        for lb in lengths {
+            pairs.push((
+                (0..la as u32).map(|x| x * 3).collect(),
+                (0..lb as u32).map(|x| x * 2).collect(),
+            ));
+        }
+    }
+    let n = pairs
+        .iter()
+        .flat_map(|(a, b)| a.iter().chain(b))
+        .max()
+        .map_or(0, |&x| x as usize + 1);
+    let mut bits = Bitmap::new(n);
+    let scope = CounterScope::new();
+    for (a, b) in &pairs {
+        for (marked, ids) in [(a, b), (b, a)] {
+            bits.mark(marked);
+            let mut thresholds = vec![0u64, 1, 2, 3, 1000];
+            for len in [ids.len(), marked.len()] {
+                thresholds.extend([len as u64 + 1, len as u64 + 2, len as u64 + 3]);
+            }
+            for min_cn in thresholds {
+                let expect = merge::check_early(marked, ids, min_cn);
+                let (d, got) = scope.measure(|| bits.check(ids, min_cn));
+                let at = format!(
+                    "|marked|={} |ids|={} min_cn={min_cn}",
+                    marked.len(),
+                    ids.len()
+                );
+                assert_eq!(got, expect, "{at}");
+                assert_eq!(d.compsim_invocations, 1, "{at}");
+                assert!(d.elements_scanned <= ids.len() as u64, "{at}");
+            }
+            bits.unmark(marked);
+            assert!(bits.is_clear(), "unmark left bits behind");
+        }
+    }
 }
 
 #[test]

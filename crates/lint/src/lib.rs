@@ -9,7 +9,11 @@
 //!    not name may use atomics only when they appear in
 //!    [`ORDERING_ALLOW`] with a recorded reason — so introducing
 //!    atomics into a new file is an explicit, reviewed act (extend the
-//!    audit table or the allowlist), never an accident.
+//!    audit table or the allowlist), never an accident. A memory
+//!    ordering is any `Ordering::` path except `cmp::Ordering::` and the
+//!    comparison variants `Less`, `Equal` and `Greater`. An allowlist
+//!    entry whose file is missing or has no non-test site is itself a
+//!    violation, so the list cannot outlive the code it describes.
 //! 2. **safety-comment** — every `unsafe` keyword must be preceded (or
 //!    accompanied) by a `// SAFETY:` comment or a `# Safety` doc
 //!    section explaining why the contract holds.
@@ -30,23 +34,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Files with `Ordering::` call sites outside the DESIGN §9.3 audit
+/// Files with memory-ordering sites outside the DESIGN §9.3 audit
 /// table's scope, each with the reason the policy tolerates them.
 /// Paths are workspace-relative. Extend this list (with a reason) or
-/// the audit table itself when introducing atomics into a new file.
+/// the audit table itself when introducing atomics into a new file, and
+/// drop an entry when its file no longer has a non-test site
+/// ([`stale_allowlist`] reports it).
 pub const ORDERING_ALLOW: &[(&str, &str)] = &[
-    (
-        "crates/unionfind/src/substrate.rs",
-        "substrate shim forwards caller-chosen orderings to std/model atomics verbatim",
-    ),
-    (
-        "crates/unionfind/src/traced.rs",
-        "traced substrate forwards orderings and mirrors them into the race detector",
-    ),
-    (
-        "crates/unionfind/src/seq.rs",
-        "Cell-based sequential baseline; Ordering appears only in substrate trait impls",
-    ),
     (
         "crates/obs/src/race.rs",
         "the race detector itself: orderings classify recorded edges, they are not protocol sites",
@@ -64,20 +58,12 @@ pub const ORDERING_ALLOW: &[(&str, &str)] = &[
         "flight recorder ring: seqlock-style slots audited in DESIGN §12",
     ),
     (
-        "crates/obs/src/propagate.rs",
-        "ambient-context handoff: SeqCst publication, no lock-free protocol",
-    ),
-    (
         "crates/intersect/src/counters.rs",
         "kernel invocation counters: monotone telemetry, Relaxed by design",
     ),
     (
         "crates/gsindex/src/build.rs",
-        "parallel index build: fetch_add work claiming behind a pool join barrier",
-    ),
-    (
-        "crates/gsindex/src/simvalue.rs",
-        "packed similarity cells: idempotent at-most-once publication, same argument as simstore.rs",
+        "index build: Relaxed per-slot cn stores, each slot written by one task, read after the pool's join barrier",
     ),
     (
         "crates/sched/src/lib.rs",
@@ -89,19 +75,19 @@ pub const ORDERING_ALLOW: &[(&str, &str)] = &[
     ),
     (
         "crates/core/src/scanxp.rs",
-        "scan-xp shared frontier cursor: fetch_add claiming behind a join barrier",
+        "SCAN-XP roles: Relaxed per-vertex similar-count stores, one writer each, read after the pool's join barrier",
     ),
     (
         "crates/core/src/ppscan/cluster.rs",
-        "cluster-core stage: fetch_add claiming plus unionfind calls audited in §9.3",
+        "cluster-id init: Relaxed CAS-min of core ids per root, read after the pool's join barrier",
     ),
     (
         "crates/core/src/ppscan/shared.rs",
-        "pipeline shared state: fetch_add claiming behind phase barriers",
+        "ppSCAN roles: Relaxed role loads and stores; a role is written once, by its own vertex, and read across phases behind the pool's join barriers",
     ),
     (
         "crates/core/src/ppscan/roles.rs",
-        "role assignment: idempotent same-value stores behind phase barriers",
+        "pull flags: idempotent Relaxed stores of `true`, read after the pool's join barrier",
     ),
     (
         "crates/core/src/race_fixtures.rs",
@@ -139,8 +125,8 @@ pub struct Violation {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Policy id: `ordering-audit`, `safety-comment`, or
-    /// `global-static-atomic`.
+    /// Policy id: `ordering-audit`, `ordering-allowlist`,
+    /// `safety-comment`, or `global-static-atomic`.
     pub rule: &'static str,
     pub message: String,
 }
@@ -373,9 +359,28 @@ fn ident_after<'a>(code: &'a str, pat: &str) -> Option<&'a str> {
     (end > 0).then_some(&rest[..end])
 }
 
+/// Whether stripped code names a memory ordering: an `Ordering::` path
+/// that is neither `cmp::Ordering::` nor one of the comparison variants.
+fn has_memory_ordering(code: &str) -> bool {
+    code.match_indices("Ordering::").any(|(at, pat)| {
+        let rest = &code[at + pat.len()..];
+        !code[..at].ends_with("cmp::")
+            && !["Less", "Equal", "Greater"].iter().any(|v| {
+                rest.strip_prefix(v)
+                    .is_some_and(|r| !r.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
+            })
+    })
+}
+
 /// Lints one file's source. `rel_path` is the workspace-relative path
 /// used in messages and allowlist matching.
 pub fn lint_source(rel_path: &str, source: &str, audit: &AuditTable) -> Vec<Violation> {
+    lint_file(rel_path, source, audit).0
+}
+
+/// [`lint_source`], plus whether the file has a non-test
+/// memory-ordering site.
+fn lint_file(rel_path: &str, source: &str, audit: &AuditTable) -> (Vec<Violation>, bool) {
     let basename = rel_path.rsplit('/').next().unwrap_or(rel_path);
     let ordering_allowed = ORDERING_ALLOW.iter().any(|(f, _)| *f == rel_path);
     let lines: Vec<&str> = source.lines().collect();
@@ -443,10 +448,12 @@ pub fn lint_source(rel_path: &str, source: &str, audit: &AuditTable) -> Vec<Viol
     }
 
     // Pass 2: the three policies.
+    let mut has_sites = false;
     for (i, c) in code.iter().enumerate() {
         let lineno = i + 1;
 
-        if c.contains("Ordering::") && !test_region[i] {
+        if has_memory_ordering(c) && !test_region[i] {
+            has_sites = true;
             if audit.covers_file(basename) {
                 let func = enclosing_fn[i].as_deref().unwrap_or("");
                 if !audit.covers_site(basename, func) {
@@ -511,7 +518,33 @@ pub fn lint_source(rel_path: &str, source: &str, audit: &AuditTable) -> Vec<Viol
             }
         }
     }
-    violations
+    (violations, has_sites)
+}
+
+/// Allowlist entries that no longer describe the code: `allow` names a
+/// file that is not among `files` (every linted workspace-relative
+/// path) or not among `with_sites` (those with a non-test
+/// memory-ordering site).
+pub fn stale_allowlist(
+    allow: &[(&str, &str)],
+    files: &BTreeSet<String>,
+    with_sites: &BTreeSet<String>,
+) -> Vec<Violation> {
+    allow
+        .iter()
+        .filter(|(f, _)| !with_sites.contains(*f))
+        .map(|(f, _)| Violation {
+            file: f.to_string(),
+            line: 0,
+            rule: "ordering-allowlist",
+            message: if files.contains(*f) {
+                "ORDERING_ALLOW names a file with no non-test Ordering:: site — drop the entry"
+            } else {
+                "ORDERING_ALLOW names a file that does not exist — drop or fix the entry"
+            }
+            .to_string(),
+        })
+        .collect()
 }
 
 /// Position of an `unsafe` keyword token in stripped code, if any.
@@ -594,7 +627,8 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lints every `crates/*/src/**.rs` file under the workspace `root`
-/// against the audit table parsed from `root/DESIGN.md`.
+/// against the audit table parsed from `root/DESIGN.md`, and
+/// [`ORDERING_ALLOW`] against the files.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let design = std::fs::read_to_string(root.join("DESIGN.md"))?;
     let audit = parse_audit(&design);
@@ -607,6 +641,8 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     }
     files.sort();
     let mut violations = Vec::new();
+    let mut seen = BTreeSet::new();
+    let mut with_sites = BTreeSet::new();
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -614,8 +650,14 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
             .to_string_lossy()
             .replace('\\', "/");
         let source = std::fs::read_to_string(&path)?;
-        violations.extend(lint_source(&rel, &source, &audit));
+        let (found, has_sites) = lint_file(&rel, &source, &audit);
+        violations.extend(found);
+        if has_sites {
+            with_sites.insert(rel.clone());
+        }
+        seen.insert(rel);
     }
+    violations.extend(stale_allowlist(ORDERING_ALLOW, &seen, &with_sites));
     Ok(violations)
 }
 
@@ -675,6 +717,57 @@ mod tests {
         assert!(lint_source("crates/x/src/newfile.rs", &test_src, &audit()).is_empty());
         // And an allowlisted file passes.
         assert!(lint_source(ORDERING_ALLOW[0].0, src, &audit()).is_empty());
+    }
+
+    #[test]
+    fn comparison_orderings_are_not_memory_orderings() {
+        // `cmp::Ordering` paths and the comparison variants are not
+        // sites; a memory ordering beside one on the same line still is.
+        for src in [
+            "fn f(a: u32, b: u32) -> bool {\n    a.cmp(&b) == std::cmp::Ordering::Equal\n}\n",
+            "fn f(o: Ordering) -> u8 {\n    match o {\n        Ordering::Less => 0,\n        \
+             Ordering::Greater => 1,\n        Ordering::Equal => 2,\n    }\n}\n",
+        ] {
+            assert!(
+                lint_source("crates/x/src/newfile.rs", src, &audit()).is_empty(),
+                "{src}"
+            );
+        }
+        assert!(has_memory_ordering("a.load(Ordering::Relaxed)"));
+        assert!(has_memory_ordering(
+            "use std::sync::atomic::Ordering::SeqCst;"
+        ));
+        assert!(has_memory_ordering(
+            "x == cmp::Ordering::Less && a.load(Ordering::Acquire) > 0"
+        ));
+        assert!(!has_memory_ordering(
+            "match o { Ordering::Less | Ordering::Greater => 1 }"
+        ));
+        assert!(has_memory_ordering("Ordering::LessOrEqual"));
+    }
+
+    #[test]
+    fn stale_allowlist_entries_fail() {
+        let allow = [
+            ("crates/a/src/live.rs", "has a site"),
+            ("crates/a/src/quiet.rs", "sites only in tests"),
+            ("crates/a/src/gone.rs", "file removed"),
+        ];
+        let files: BTreeSet<String> = ["crates/a/src/live.rs", "crates/a/src/quiet.rs"]
+            .map(String::from)
+            .into();
+        let with_sites: BTreeSet<String> = ["crates/a/src/live.rs".to_string()].into();
+        let v = stale_allowlist(&allow, &files, &with_sites);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "ordering-allowlist"));
+        assert_eq!(v[0].file, "crates/a/src/quiet.rs");
+        assert!(v[0].message.contains("no non-test"));
+        assert_eq!(v[1].file, "crates/a/src/gone.rs");
+        assert!(v[1].message.contains("does not exist"));
+        // A test-only site does not keep an entry alive.
+        let test_only = "#[cfg(test)]\nmod tests {\n    fn f(a: &AtomicU32) {\n        \
+                         a.load(Ordering::Relaxed);\n    }\n}\n";
+        assert!(!lint_file("crates/a/src/quiet.rs", test_only, &audit()).1);
     }
 
     #[test]
