@@ -16,7 +16,7 @@ const THRESHOLDS: [u64; 7] = [1, 64, 1024, 8192, 32_768, 262_144, u64::MAX];
 
 fn main() {
     let mut args = HarnessArgs::parse();
-    if args.eps_list == [0.2, 0.4, 0.6, 0.8] {
+    if !args.eps_given {
         args.eps_list = vec![0.2]; // scheduling stress shows at small eps
     }
     let eps = args.eps_list[0];

@@ -17,7 +17,7 @@ const MUS: [usize; 4] = [2, 5, 10, 15];
 
 fn main() {
     let mut args = HarnessArgs::parse();
-    if args.eps_list == [0.2, 0.4, 0.6, 0.8] && !args.quick {
+    if !args.eps_given && !args.quick {
         args.eps_list = (1..=9).map(|k| k as f64 / 10.0).collect();
     }
     let cfg =

@@ -16,10 +16,7 @@ use ppscan_core::ppscan::{ppscan, PpScanConfig};
 use ppscan_intersect::Kernel;
 
 fn main() {
-    let mut args = HarnessArgs::parse();
-    if args.eps_list == [0.2, 0.4, 0.6, 0.8] && !args.quick {
-        args.eps_list = vec![0.2, 0.4, 0.6, 0.8];
-    }
+    let args = HarnessArgs::parse();
     let budget = (1_000_000.0 * args.scale) as usize;
     eprintln!("generating ROLL suite with |E| ≈ {budget} …");
     let suite = ppscan_graph::datasets::roll_suite(budget);

@@ -30,8 +30,8 @@
 //! cargo run --release -p ppscan-bench --bin report_check -- \
 //!     target/reports/table1.json --baseline crates/bench/baselines/table1_quick.json
 //! cargo run --release -p ppscan-bench --bin report_check -- \
-//!     target/reports/obs_overhead.json \
-//!     --baseline crates/bench/baselines/obs_overhead_quick.json --check-runs
+//!     target/reports/fig6_scalability.json \
+//!     --baseline crates/bench/baselines/fig6_quick.json --check-runs
 //! ```
 //!
 //! Every checked run — bare or inside a figure report — additionally

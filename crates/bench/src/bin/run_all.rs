@@ -26,11 +26,10 @@ const BINS: [&str; 11] = [
     "fig8_roll",
     "ablation_edorder",
 ];
-const EXTRA_BINS: [&str; 6] = [
+const EXTRA_BINS: [&str; 5] = [
     "ablation_twophase",
     "ablation_sched",
     "parameter_exploration",
-    "obs_overhead",
     "serve_bench",
     "soak",
 ];

@@ -46,6 +46,9 @@ pub struct HarnessArgs {
     pub csv: bool,
     /// ε values to sweep.
     pub eps_list: Vec<f64>,
+    /// Whether `--eps` was given. Harnesses with a figure-specific ε
+    /// grid replace `eps_list` only when it was not.
+    pub eps_given: bool,
     /// µ value (µ sweeps use their own list).
     pub mu: usize,
     /// Thread counts to sweep.
@@ -66,6 +69,7 @@ impl Default for HarnessArgs {
             scale: 1.0,
             csv: false,
             eps_list: vec![0.2, 0.4, 0.6, 0.8],
+            eps_given: false,
             mu: 5,
             threads: vec![1, 2, 4, 8],
             datasets: Dataset::TABLE1.to_vec(),
@@ -108,6 +112,7 @@ impl HarnessArgs {
                         .split(',')
                         .map(|s| s.parse().expect("bad --eps"))
                         .collect();
+                    out.eps_given = true;
                 }
                 "--threads" => {
                     out.threads = value("--threads")

@@ -4,7 +4,7 @@
 //! self-baseline and reject corrupt input.
 
 use ppscan_obs::FigureReport;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Tiny-graph flags shared by every smoke invocation: ~10³ edges, the
@@ -17,13 +17,20 @@ fn tmp_dir() -> PathBuf {
     dir
 }
 
-/// Runs one bench binary with `--report` and parses what it wrote.
+/// Runs one bench binary on [`TINY`] with `--report` and parses what it
+/// wrote.
 fn check_bin(name: &str, exe: &str) -> FigureReport {
-    let path = tmp_dir().join(format!("{name}.json"));
+    run_bin(name, exe, &TINY, &tmp_dir().join(format!("{name}.json")))
+}
+
+/// Runs one bench binary with `args` plus `--report <path>` and parses
+/// what it wrote. Tests that run the same binary concurrently pass
+/// different paths.
+fn run_bin(name: &str, exe: &str, args: &[&str], path: &Path) -> FigureReport {
     let output = Command::new(exe)
-        .args(TINY)
+        .args(args)
         .arg("--report")
-        .arg(&path)
+        .arg(path)
         .output()
         .unwrap_or_else(|e| panic!("launching {name}: {e}"));
     assert!(
@@ -32,7 +39,7 @@ fn check_bin(name: &str, exe: &str) -> FigureReport {
         output.status,
         String::from_utf8_lossy(&output.stderr)
     );
-    let text = std::fs::read_to_string(&path)
+    let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("{name} wrote no report at {}: {e}", path.display()));
     let report =
         FigureReport::parse(&text).unwrap_or_else(|e| panic!("{name} report does not parse: {e}"));
@@ -75,7 +82,6 @@ report_smoke!(
     ablation_twophase,
     ablation_sched,
     parameter_exploration,
-    obs_overhead,
     serve_bench,
     soak,
 );
@@ -83,7 +89,12 @@ report_smoke!(
 #[test]
 fn ppscan_runs_carry_span_phases_and_counters() {
     // Deep-check one figure: fig6's runs are span-sourced ppSCAN reports.
-    let report = check_bin("fig6_scalability", env!("CARGO_BIN_EXE_fig6_scalability"));
+    let report = run_bin(
+        "fig6_scalability",
+        env!("CARGO_BIN_EXE_fig6_scalability"),
+        &TINY,
+        &tmp_dir().join("fig6_deep_check.json"),
+    );
     for run in &report.runs {
         assert_eq!(run.algorithm, "ppscan");
         assert!(run.wall_nanos > 0);
@@ -94,8 +105,33 @@ fn ppscan_runs_carry_span_phases_and_counters() {
 }
 
 #[test]
+fn explicit_eps_equal_to_the_default_is_kept() {
+    // fig7 replaces an ε list nobody gave with its 0.1..0.9 grid; an
+    // explicit `--eps` that happens to equal the shared default must
+    // still sweep exactly those four values.
+    let report = run_bin(
+        "fig7_robustness",
+        env!("CARGO_BIN_EXE_fig7_robustness"),
+        &[
+            "--scale",
+            "0.01",
+            "--datasets",
+            "orkut",
+            "--eps",
+            "0.2,0.4,0.6,0.8",
+        ],
+        &tmp_dir().join("fig7_explicit_eps.json"),
+    );
+    let rows = &report.table.expect("fig7 attaches its table").rows;
+    let eps: Vec<&str> = rows.iter().map(|r| r[1].as_str()).collect();
+    assert_eq!(eps, ["0.2", "0.4", "0.6", "0.8"]);
+}
+
+#[test]
 fn run_all_report_dir_emits_one_report_per_figure() {
     let dir = tmp_dir().join("run-all");
+    // Reports left by an earlier run would be counted too.
+    let _ = std::fs::remove_dir_all(&dir);
     let output = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .args(TINY)
         .arg("--report-dir")
@@ -118,7 +154,7 @@ fn run_all_report_dir_emits_one_report_per_figure() {
         assert_eq!(report.figure, stem);
         count += 1;
     }
-    assert_eq!(count, 17, "one report per figure binary");
+    assert_eq!(count, 16, "one report per figure binary");
 }
 
 #[test]

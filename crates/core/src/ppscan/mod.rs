@@ -50,12 +50,9 @@ use crate::report as report_glue;
 use crate::result::Clustering;
 use crate::timing::StageTimings;
 use ppscan_graph::CsrGraph;
-use ppscan_intersect::counters::CounterScope;
 use ppscan_intersect::Kernel;
-use ppscan_obs::{Collector, RunReport, Span};
-use ppscan_sched::{ExecutionStrategy, PoolMetrics, WorkerPool, DEFAULT_DEGREE_THRESHOLD};
-use std::sync::Arc;
-use std::time::Instant;
+use ppscan_obs::{RunReport, Span};
+use ppscan_sched::{ExecutionStrategy, WorkerPool, DEFAULT_DEGREE_THRESHOLD};
 
 /// Execution configuration for ppSCAN.
 #[derive(Clone, Debug)]
@@ -65,10 +62,9 @@ pub struct PpScanConfig {
     /// `CompSim` kernel; defaults to [`Kernel::Adaptive`], which runs
     /// core checking on the rank schedule (bitmap probes, skewed edges
     /// from their higher-degree endpoint, then the pull) and every other
-    /// `CompSim` by degree-ratio dispatch between galloping and the
-    /// widest available block kernel. Any other kernel runs the paper's
-    /// id-ordered schedule; `Kernel::MergeEarly` reproduces its
-    /// "ppSCAN-NO".
+    /// `CompSim` with [`Kernel::auto`]'s block kernel. Any other kernel
+    /// runs the paper's id-ordered schedule; `Kernel::MergeEarly`
+    /// reproduces its "ppSCAN-NO".
     pub kernel: Kernel,
     /// Degree-sum threshold of the task scheduler (paper: 32768).
     pub degree_threshold: u64,
@@ -77,17 +73,6 @@ pub struct PpScanConfig {
     /// schedule; `AdversarialSeeded` to replay hostile interleavings from
     /// a seed (the differential stress driver sweeps all three).
     pub strategy: ExecutionStrategy,
-    /// Whether the run activates its own span collector + kernel counter
-    /// scope and fills the output's [`RunReport`] with per-worker phase
-    /// metrics and counters. On by default; `bin/obs_overhead` measures
-    /// the cost of leaving it on (the stage spans themselves always run —
-    /// they are also the source of [`StageTimings`]).
-    pub observe: bool,
-    /// Live pool counters to attach to the run's worker pool (see
-    /// [`PoolMetrics`]). `None` by default — live metrics are for
-    /// long-lived hosts (serving, soak benches) that sample a registry
-    /// while runs execute; one-shot runs report post-hoc instead.
-    pub metrics: Option<Arc<PoolMetrics>>,
 }
 
 impl Default for PpScanConfig {
@@ -97,8 +82,6 @@ impl Default for PpScanConfig {
             kernel: Kernel::Adaptive,
             degree_threshold: DEFAULT_DEGREE_THRESHOLD,
             strategy: ExecutionStrategy::Parallel,
-            observe: true,
-            metrics: None,
         }
     }
 }
@@ -129,18 +112,6 @@ impl PpScanConfig {
         self.strategy = strategy;
         self
     }
-
-    /// Builder-style observation toggle.
-    pub fn observe(mut self, observe: bool) -> Self {
-        self.observe = observe;
-        self
-    }
-
-    /// Builder-style live pool-metrics attachment.
-    pub fn metrics(mut self, metrics: Option<Arc<PoolMetrics>>) -> Self {
-        self.metrics = metrics;
-        self
-    }
 }
 
 /// ppSCAN result: canonical clustering, per-stage timings (Figure 6),
@@ -151,8 +122,8 @@ pub struct PpScanOutput {
     pub clustering: Clustering,
     /// Durations of the four stages (sourced from the stage spans).
     pub timings: StageTimings,
-    /// The run's [`RunReport`]: config, graph shape, span-sourced phase
-    /// metrics (per-worker when `observe` is on), and kernel counters.
+    /// The run's [`RunReport`]: config, graph shape, span-sourced
+    /// per-worker phase metrics, and kernel counters.
     pub report: RunReport,
 }
 
@@ -172,71 +143,46 @@ pub fn ppscan_ablation(
     skip_cluster_phase_one: bool,
 ) -> PpScanOutput {
     let pool = WorkerPool::with_strategy(config.threads, config.strategy);
-    if let Some(metrics) = &config.metrics {
-        pool.attach_metrics(Arc::clone(metrics));
-    }
     let shared = shared::Shared::new(g, params, config.kernel, config.strategy);
     let mut timings = StageTimings::default();
 
-    // Observation: a collector + counter scope for this run, activated
-    // only when configured. The stage spans below always run — they are
-    // the single source of `StageTimings` — but without an active
-    // collector they cost two clock reads per stage and nothing per task.
-    let collector = Collector::new();
-    let scope = CounterScope::new();
-    let guards = config
-        .observe
-        .then(|| (collector.activate(), scope.activate()));
-    let wall = Instant::now();
+    let ((core_label, pairs), report) = report_glue::instrument("ppscan", g, params, || {
+        // ---- Role computing (Algorithm 3) ----
+        {
+            let span = Span::enter(report_glue::STAGE_SIMILARITY_PRUNING);
+            roles::prune_sim(&shared, &pool, config.degree_threshold);
+            timings.prune = span.finish();
+        }
 
-    // ---- Role computing (Algorithm 3) ----
-    {
-        let span = Span::enter(report_glue::STAGE_SIMILARITY_PRUNING);
-        roles::prune_sim(&shared, &pool, config.degree_threshold);
-        timings.prune = span.finish();
-    }
+        {
+            let span = Span::enter(report_glue::STAGE_CORE_CHECKING);
+            roles::check_roles(&shared, &pool, config.degree_threshold);
+            timings.check_core = span.finish();
+        }
 
-    {
-        let span = Span::enter(report_glue::STAGE_CORE_CHECKING);
-        roles::check_roles(&shared, &pool, config.degree_threshold);
-        timings.check_core = span.finish();
-    }
+        // ---- Core and non-core clustering (Algorithm 4) ----
+        let uf = {
+            let span = Span::enter(report_glue::STAGE_CORE_CLUSTERING);
+            let uf = cluster::cluster_cores(
+                &shared,
+                &pool,
+                config.degree_threshold,
+                skip_cluster_phase_one,
+            );
+            timings.core_cluster = span.finish();
+            uf
+        };
 
-    // ---- Core and non-core clustering (Algorithm 4) ----
-    let uf = {
-        let span = Span::enter(report_glue::STAGE_CORE_CLUSTERING);
-        let uf = cluster::cluster_cores(
-            &shared,
-            &pool,
-            config.degree_threshold,
-            skip_cluster_phase_one,
-        );
-        timings.core_cluster = span.finish();
-        uf
-    };
-
-    let (core_label, pairs) = {
         let span = Span::enter(report_glue::STAGE_NONCORE_CLUSTERING);
         let out = cluster::cluster_noncores(&shared, &pool, config.degree_threshold, &uf);
         timings.noncore_cluster = span.finish();
         out
-    };
-
-    let wall = wall.elapsed();
-    drop(guards);
-
-    let mut report = report_glue::base_report("ppscan", g, params)
+    });
+    let report = report
         .with_threads(config.threads)
         .with_kernel(config.kernel.to_string())
         .with_strategy(config.strategy.to_string())
         .with_degree_threshold(config.degree_threshold);
-    report.wall_nanos = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-    if config.observe {
-        report.phases = RunReport::phases_from(&collector.snapshot());
-        report.counters = report_glue::counters_from(scope.snapshot());
-    } else {
-        report.phases = report_glue::stage_phases(&timings);
-    }
 
     let clustering = Clustering::from_raw(shared.roles_vec(), core_label, pairs);
     PpScanOutput {
@@ -361,16 +307,5 @@ mod tests {
         // Round-trips through JSON.
         let parsed = ppscan_obs::RunReport::parse(&r.to_json_string()).unwrap();
         assert_eq!(&parsed, r);
-    }
-
-    #[test]
-    fn unobserved_run_still_reports_stage_walls() {
-        let g = gen::roll(150, 10, 5);
-        let cfg = PpScanConfig::with_threads(2).observe(false);
-        let out = ppscan(&g, ScanParams::new(0.4, 3), &cfg);
-        assert_eq!(out.report.counters.compsim_invocations, 0);
-        for stage in crate::report::PPSCAN_STAGES {
-            assert!(out.report.phase(stage).unwrap().wall_nanos > 0);
-        }
     }
 }

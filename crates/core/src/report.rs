@@ -2,10 +2,11 @@
 //!
 //! `ppscan-obs` defines the report format without knowing about graphs,
 //! parameters, or kernels; this module is the binding layer: canonical
-//! stage names, conversion from [`Breakdown`]/[`StageTimings`] to report
-//! phases, and [`instrument`] — a wrapper that runs any driver under a
-//! fresh span collector + kernel counter scope and returns the run's
-//! [`RunReport`] alongside its result.
+//! stage names, conversion from a [`Breakdown`] to report phases and
+//! from report phases back to [`StageTimings`], and [`instrument`] — a
+//! wrapper that runs any driver under a fresh span collector + kernel
+//! counter scope and returns the run's [`RunReport`] alongside its
+//! result.
 
 use crate::params::ScanParams;
 use crate::timing::{Breakdown, StageTimings};
@@ -68,21 +69,6 @@ pub fn breakdown_phases(b: &Breakdown) -> Vec<PhaseMetrics> {
     .collect()
 }
 
-/// Converts Figure-6 [`StageTimings`] into report phases (wall-time only).
-/// Used when a run is not observed; observed runs get richer per-worker
-/// phases straight from the span collector.
-pub fn stage_phases(t: &StageTimings) -> Vec<PhaseMetrics> {
-    PPSCAN_STAGES
-        .into_iter()
-        .zip(t.stages())
-        .map(|(name, d)| PhaseMetrics {
-            name: name.to_string(),
-            wall_nanos: nanos(d),
-            ..PhaseMetrics::default()
-        })
-        .collect()
-}
-
 /// Rebuilds [`StageTimings`] from a report's phases (zero for missing
 /// stages). The inverse of the span-sourced phase list, used by harness
 /// code that still consumes `StageTimings`.
@@ -105,8 +91,7 @@ pub fn counters_from(snapshot: ppscan_intersect::counters::CounterSnapshot) -> K
     KernelCounters {
         compsim_invocations: snapshot.compsim_invocations,
         elements_scanned: snapshot.elements_scanned,
-        adaptive_gallop: snapshot.adaptive_gallop,
-        adaptive_block: snapshot.adaptive_block,
+        ..KernelCounters::default()
     }
 }
 
@@ -178,21 +163,5 @@ mod tests {
         assert_eq!(phases.len(), 3);
         assert_eq!(phases[0].name, PHASE_SIMILARITY_EVALUATION);
         assert_eq!(phases[0].wall_nanos, 3_000_000);
-    }
-
-    #[test]
-    fn stage_phases_and_back() {
-        let t = StageTimings {
-            prune: Duration::from_millis(1),
-            check_core: Duration::from_millis(2),
-            core_cluster: Duration::from_millis(3),
-            noncore_cluster: Duration::from_millis(4),
-        };
-        let mut report = RunReport::new("ppscan");
-        report.phases = stage_phases(&t);
-        let back = stage_timings_from(&report);
-        assert_eq!(back.prune, t.prune);
-        assert_eq!(back.noncore_cluster, t.noncore_cluster);
-        assert_eq!(back.total(), t.total());
     }
 }

@@ -255,12 +255,16 @@ impl FailingCase {
 
     /// The ppSCAN configuration this case pins: the one place the driver
     /// builds one, so the sweep, the shrinker and replay all run at
-    /// [`DEGREE_THRESHOLD`]. The baselines read only its thread count.
+    /// [`DEGREE_THRESHOLD`]. A case without a kernel keeps the config's
+    /// default one. The baselines read only its thread count.
     fn run_config(&self) -> PpScanConfig {
-        PpScanConfig::with_threads(self.threads.unwrap_or(1))
-            .kernel(self.kernel.unwrap_or_default())
+        let config = PpScanConfig::with_threads(self.threads.unwrap_or(1))
             .strategy(self.strategy.unwrap_or_default())
-            .degree_threshold(DEGREE_THRESHOLD)
+            .degree_threshold(DEGREE_THRESHOLD);
+        match self.kernel {
+            Some(kernel) => config.kernel(kernel),
+            None => config,
+        }
     }
 
     /// Runs the pinned configuration once on `g`.

@@ -57,13 +57,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 
 /// Number of distinct counters a scope tracks.
-const N: usize = 4;
+const N: usize = 2;
 
 // Slot indexes into the counter arrays.
 const IDX_INVOCATIONS: usize = 0;
 const IDX_SCANNED: usize = 1;
-const IDX_ADAPTIVE_GALLOP: usize = 2;
-const IDX_ADAPTIVE_BLOCK: usize = 3;
 
 struct ScopeInner {
     counts: [AtomicU64; N],
@@ -107,12 +105,6 @@ pub struct CounterSnapshot {
     /// Number of array elements consumed across all intersections
     /// (a proxy for comparison work).
     pub elements_scanned: u64,
-    /// Invocations [`crate::Kernel::Adaptive`] routed to galloping
-    /// (skewed neighbor-list pair). Zero for every other kernel.
-    pub adaptive_gallop: u64,
-    /// Invocations [`crate::Kernel::Adaptive`] routed to the block/pivot
-    /// kernel (balanced pair). Zero for every other kernel.
-    pub adaptive_block: u64,
 }
 
 impl CounterSnapshot {
@@ -120,8 +112,6 @@ impl CounterSnapshot {
         CounterSnapshot {
             compsim_invocations: a[IDX_INVOCATIONS],
             elements_scanned: a[IDX_SCANNED],
-            adaptive_gallop: a[IDX_ADAPTIVE_GALLOP],
-            adaptive_block: a[IDX_ADAPTIVE_BLOCK],
         }
     }
 
@@ -129,8 +119,6 @@ impl CounterSnapshot {
         let mut a = [0u64; N];
         a[IDX_INVOCATIONS] = self.compsim_invocations;
         a[IDX_SCANNED] = self.elements_scanned;
-        a[IDX_ADAPTIVE_GALLOP] = self.adaptive_gallop;
-        a[IDX_ADAPTIVE_BLOCK] = self.adaptive_block;
         a
     }
 
@@ -334,22 +322,6 @@ pub fn record_invocation_scanned(n: u64) {
     });
 }
 
-/// Records one [`crate::Kernel::Adaptive`] dispatch decision: `gallop`
-/// says which branch the degree-ratio test picked. The mix lets
-/// `fig4_invocations` and the ablations report how often the skew
-/// heuristic fires on each dataset.
-#[inline]
-pub fn record_adaptive_choice(gallop: bool) {
-    bump(
-        if gallop {
-            IDX_ADAPTIVE_GALLOP
-        } else {
-            IDX_ADAPTIVE_BLOCK
-        },
-        1,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,19 +337,6 @@ mod tests {
         });
         assert_eq!(d.compsim_invocations, 2);
         assert_eq!(d.elements_scanned, 10);
-    }
-
-    #[test]
-    fn adaptive_choice_mix_is_scoped() {
-        let scope = CounterScope::new();
-        let (d, ()) = scope.measure(|| {
-            record_adaptive_choice(true);
-            record_adaptive_choice(false);
-            record_adaptive_choice(false);
-        });
-        assert_eq!(d.adaptive_gallop, 1);
-        assert_eq!(d.adaptive_block, 2);
-        assert_eq!(d.compsim_invocations, 0);
     }
 
     #[test]

@@ -29,22 +29,12 @@ pub enum Kernel {
     BlockAvx2,
     /// Block-based all-pairs AVX-512 (extension).
     BlockAvx512,
-    /// Degree-ratio adaptive dispatch (extension): galloping when one
-    /// neighbor list is at least [`ADAPTIVE_GALLOP_RATIO`]× longer than
-    /// the other, the best available block kernel otherwise. The mix of
-    /// decisions is recorded via [`counters::record_adaptive_choice`]
-    /// so `fig4_invocations` and the ablations can report it. ppSCAN
-    /// also reads this kernel as the choice of its rank schedule, whose
-    /// core checking probes [`crate::count::Bitmap::check`] instead.
+    /// ppSCAN's default (extension): every pairwise `CompSim` runs
+    /// [`Kernel::auto`]'s kernel. ppSCAN also reads this kernel as the
+    /// choice of its rank schedule, whose core checking probes
+    /// [`crate::count::Bitmap::check`] instead.
     Adaptive,
 }
-
-/// Length ratio at which [`Kernel::Adaptive`] switches from the block
-/// kernel to galloping. Tuned on the skewed ROLL suite: galloping wins
-/// once the long list dwarfs the short one enough that O(s·log l) beats
-/// the block kernel's O(s + l) streaming — on AVX-512 hardware that
-/// crossover sits around 32× (16 lanes × ~2 for early termination).
-pub const ADAPTIVE_GALLOP_RATIO: usize = 32;
 
 impl Kernel {
     /// All kernels, for exhaustive differential testing.
@@ -129,32 +119,8 @@ impl Kernel {
             Kernel::Galloping => galloping::check_early(a, b, min_cn),
             Kernel::BlockAvx2 => simd_block::avx2::check_early(a, b, min_cn),
             Kernel::BlockAvx512 => simd_block::avx512::check_early(a, b, min_cn),
-            Kernel::Adaptive => {
-                let (short, long) = if a.len() <= b.len() {
-                    (a.len(), b.len())
-                } else {
-                    (b.len(), a.len())
-                };
-                let gallop = long >= short.max(1).saturating_mul(ADAPTIVE_GALLOP_RATIO);
-                crate::counters::record_adaptive_choice(gallop);
-                if gallop {
-                    galloping::check_early(a, b, min_cn)
-                } else if simd::avx512_available() {
-                    simd_block::avx512::check_early(a, b, min_cn)
-                } else if simd::avx2_available() {
-                    simd_block::avx2::check_early(a, b, min_cn)
-                } else {
-                    pivot::check_early(a, b, min_cn)
-                }
-            }
+            Kernel::Adaptive => Kernel::auto().check(a, b, min_cn),
         }
-    }
-}
-
-impl Default for Kernel {
-    /// Defaults to the best vectorized kernel available.
-    fn default() -> Self {
-        Kernel::auto()
     }
 }
 
@@ -214,34 +180,6 @@ mod tests {
         let expected = merge::check_reference(&a, &b, 7);
         for k in Kernel::ALL.into_iter().filter(|k| k.available()) {
             assert_eq!(k.check(&a, &b, 7), expected, "kernel {k}");
-        }
-    }
-
-    #[test]
-    fn adaptive_picks_galloping_only_on_skewed_pairs() {
-        use crate::counters::CounterScope;
-        let short: Vec<u32> = (0..4).map(|x| x * 7).collect();
-        let long: Vec<u32> = (0..(4 * ADAPTIVE_GALLOP_RATIO) as u32).collect();
-        let balanced: Vec<u32> = (0..64).map(|x| x * 2).collect();
-
-        let scope = CounterScope::new();
-        let (d, ()) = scope.measure(|| {
-            // Skewed: ratio exactly at the threshold → galloping.
-            Kernel::Adaptive.check(&short, &long, 1);
-            Kernel::Adaptive.check(&long, &short, 1); // order-insensitive
-                                                      // Balanced → block kernel.
-            Kernel::Adaptive.check(&balanced, &long, 1);
-        });
-        assert_eq!(d.adaptive_gallop, 2);
-        assert_eq!(d.adaptive_block, 1);
-        assert_eq!(d.compsim_invocations, 3, "delegate records exactly once");
-
-        // Both branches agree with the reference on both input shapes.
-        for (x, y) in [(&short, &long), (&balanced, &long)] {
-            assert_eq!(
-                Kernel::Adaptive.check(x, y, 3),
-                merge::check_reference(x, y, 3)
-            );
         }
     }
 }

@@ -51,12 +51,14 @@ pub struct KernelCounters {
     pub compsim_invocations: u64,
     /// Adjacency-list elements scanned by the kernels.
     pub elements_scanned: u64,
-    /// Adaptive-kernel invocations routed to galloping (0 unless the
-    /// adaptive kernel ran). Serialized only when nonzero, parsed with a
-    /// default of 0, so schema 1 files stay round-trip exact.
+    /// Retired: invocations the adaptive kernel's old degree-ratio rule
+    /// routed to galloping. Reports written before the rule was deleted
+    /// carry it; new runs leave it 0, so it is left out of their JSON.
+    /// Serialized only when nonzero and parsed with a default of 0, so
+    /// both kinds of file stay round-trip exact.
     pub adaptive_gallop: u64,
-    /// Adaptive-kernel invocations routed to the block kernel (0 unless
-    /// the adaptive kernel ran).
+    /// Retired: invocations that rule routed to the block kernel (see
+    /// `adaptive_gallop`).
     pub adaptive_block: u64,
 }
 

@@ -38,9 +38,8 @@
 //!   (start to answer), and the query pool's `pool.*` family
 //!   ([`ppscan_sched::PoolMetrics`]).
 //!   Sample it any time with [`Server::metrics_snapshot`].
-//! * A [`FlightRecorder`] ring of recent structured events (enqueue,
-//!   batch-start/end, swap, slow-query) sized by
-//!   [`ServeConfig::recorder_capacity`].
+//! * A [`FlightRecorder`] ring of the last [`DEFAULT_RECORDER_CAPACITY`]
+//!   structured events (enqueue, batch-start/end, swap, slow-query).
 //! * An optional [`StallWatchdog`] ([`ServeConfig::watchdog`]) whose
 //!   probe reads completed batches as progress and queue depth plus the
 //!   in-flight batch as pending work: if the dispatcher stops making
@@ -89,8 +88,6 @@ pub struct ServeConfig {
     /// counts as slow: bumps `serve.slow_queries` and records a
     /// flight-recorder event. 0 disables slow-query tracking.
     pub slow_query_nanos: u64,
-    /// Capacity of the flight-recorder event ring.
-    pub recorder_capacity: usize,
     /// Stall-watchdog deadline/poll; `None` runs without a watchdog.
     pub watchdog: Option<WatchdogConfig>,
     /// Test seam: called by the dispatcher with the 0-based batch
@@ -108,7 +105,6 @@ impl Default for ServeConfig {
             max_batch: 64,
             strategy: ExecutionStrategy::Parallel,
             slow_query_nanos: 0,
-            recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             watchdog: None,
             batch_hook: None,
         }
@@ -122,7 +118,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("max_batch", &self.max_batch)
             .field("strategy", &self.strategy)
             .field("slow_query_nanos", &self.slow_query_nanos)
-            .field("recorder_capacity", &self.recorder_capacity)
             .field("watchdog", &self.watchdog)
             .field("batch_hook", &self.batch_hook.as_ref().map(|_| "<hook>"))
             .finish()
@@ -263,7 +258,7 @@ impl Server {
         let generation_gauge = metrics.gauge("serve.generation");
         generation_gauge.set(1);
         let pool_metrics = PoolMetrics::register(&metrics, "pool", threads);
-        let recorder = Arc::new(FlightRecorder::new(config.recorder_capacity));
+        let recorder = Arc::new(FlightRecorder::new(DEFAULT_RECORDER_CAPACITY));
 
         let ctx = propagate::capture();
         let dispatcher = {
