@@ -14,11 +14,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Applies the degree-only similarity-predicate pruning to every
 /// out-slot of `u` (each directed slot is written exclusively by its
 /// source vertex: no conflicts) and initializes `role[u]` from the local
-/// `sd`/`ed` bounds when they already decide it.
+/// `sd`/`ed` bounds when they already decide it. The rule's thresholds
+/// are computed once per distinct degree before the pass
+/// (`EpsilonThreshold::degree_bounds`), so each slot costs two integer
+/// comparisons.
 pub(crate) fn prune_sim(shared: &Shared<'_>, pool: &WorkerPool, degree_threshold: u64) {
     let g = shared.g;
     let n = g.num_vertices();
     let mu = shared.params.mu as i64;
+    let mut bounds = vec![None; g.max_degree() + 1];
+    for u in g.vertices() {
+        let d = g.degree(u);
+        bounds[d].get_or_insert_with(|| shared.params.epsilon.degree_bounds(d));
+    }
     pool.run_weighted(
         n,
         degree_threshold,
@@ -26,11 +34,16 @@ pub(crate) fn prune_sim(shared: &Shared<'_>, pool: &WorkerPool, degree_threshold
         |range| {
             for u in range {
                 let d_u = g.degree(u);
+                let bounds = bounds[d_u].expect("every degree present has bounds");
                 let mut sd = 0i64;
                 let mut ed = d_u as i64;
                 for eo in g.neighbor_range(u) {
                     let v = g.edge_dst(eo);
-                    let label = shared.params.epsilon.prune_by_degree(d_u, g.degree(v));
+                    let label = bounds.label(g.degree(v));
+                    debug_assert_eq!(
+                        label,
+                        shared.params.epsilon.prune_by_degree(d_u, g.degree(v))
+                    );
                     match label {
                         Similarity::Sim => {
                             shared.sim.set(eo, label);

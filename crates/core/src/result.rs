@@ -10,7 +10,7 @@
 //! (Definition 3.7), so results from different algorithms — BFS-grown
 //! SCAN, union-find pSCAN, lock-free parallel ppSCAN — compare with `==`.
 
-use ppscan_graph::{CsrGraph, VertexId};
+use ppscan_graph::{par, CsrGraph, VertexId};
 
 /// The role of a vertex (Definition 2.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -157,41 +157,57 @@ impl Clustering {
     /// Classifies every vertex as clustered / hub / outlier
     /// (Definition 2.10). O(|E| + |V| + P), where P is the number of
     /// non-core membership pairs, and no allocation per vertex: one pass
-    /// over the sorted pairs finds each vertex's run of them.
+    /// over the pairs gives every vertex one label, its only cluster,
+    /// none, or "several", so a neighbor costs one lookup. Contiguous
+    /// vertex ranges of equal degree sum are classified on scoped threads
+    /// from 2¹⁶ vertices plus slots on ([`ppscan_graph::par`]).
     pub fn classify_unclustered(&self, g: &CsrGraph) -> Vec<UnclusteredClass> {
+        let work = self.num_vertices() + g.num_directed_edges();
+        self.classify_in(g, par::parts(work, par::ITEM_UNIT))
+    }
+
+    /// [`Self::classify_unclustered`] in `parts` vertex ranges.
+    pub(crate) fn classify_in(&self, g: &CsrGraph, parts: usize) -> Vec<UnclusteredClass> {
+        // Cluster ids are core ids, so below n, and n fits a vertex id.
+        const SEVERAL: u32 = NO_CLUSTER - 1;
         let n = self.num_vertices();
-        // noncore_pairs[first[v]..first[v + 1]] are v's memberships.
-        let mut first = vec![0usize; n + 1];
-        for &(v, _) in &self.noncore_pairs {
-            first[v as usize + 1] += 1;
+        assert!(
+            n <= SEVERAL as usize,
+            "{n} vertices leave no label for several clusters"
+        );
+        // A core's cluster, a non-core's one cluster, or SEVERAL: the pairs
+        // are deduplicated, so a second pair names a second cluster.
+        let mut label = self.core_cluster.clone();
+        for &(v, c) in &self.noncore_pairs {
+            let l = &mut label[v as usize];
+            *l = if *l == NO_CLUSTER { c } else { SEVERAL };
         }
-        for v in 0..n {
-            first[v + 1] += first[v];
-        }
-        let clusters_of = |v: usize| {
-            let core = Some(self.core_cluster[v]).filter(|&c| c != NO_CLUSTER);
-            let pairs = &self.noncore_pairs[first[v]..first[v + 1]];
-            core.into_iter().chain(pairs.iter().map(|&(_, c)| c))
+        let classify = |v: usize| {
+            if label[v] != NO_CLUSTER {
+                return UnclusteredClass::Clustered;
+            }
+            // Hub iff neighbors touch ≥ 2 distinct clusters.
+            let mut seen = NO_CLUSTER;
+            for &w in g.neighbors(v as VertexId) {
+                match label[w as usize] {
+                    NO_CLUSTER => {}
+                    SEVERAL => return UnclusteredClass::Hub,
+                    c if seen == NO_CLUSTER => seen = c,
+                    c if c != seen => return UnclusteredClass::Hub,
+                    _ => {}
+                }
+            }
+            UnclusteredClass::Outlier
         };
-        (0..n)
-            .map(|v| {
-                if clusters_of(v).next().is_some() {
-                    return UnclusteredClass::Clustered;
-                }
-                // Hub iff neighbors touch ≥ 2 distinct clusters.
-                let mut seen: Option<u32> = None;
-                for &w in g.neighbors(v as VertexId) {
-                    for c in clusters_of(w as usize) {
-                        match seen {
-                            None => seen = Some(c),
-                            Some(prev) if prev != c => return UnclusteredClass::Hub,
-                            _ => {}
-                        }
-                    }
-                }
-                UnclusteredClass::Outlier
-            })
-            .collect()
+        let mut out = vec![UnclusteredClass::Outlier; n];
+        let cuts = par::balanced_cuts(&g.raw_offsets()[..=n], parts);
+        let chunks = par::split_mut(&mut out, &cuts);
+        par::run(cuts.windows(2).zip(chunks).collect(), |(w, chunk)| {
+            for (v, class) in (w[0]..w[1]).zip(chunk.iter_mut()) {
+                *class = classify(v);
+            }
+        });
+        out
     }
 
     /// Human-readable summary line.
@@ -313,6 +329,34 @@ mod tests {
             }
         }
         assert!(hubs >= 100, "only {hubs} hubs: the zoo barely tests them");
+    }
+
+    /// Classification in any number of vertex ranges equals the one-part
+    /// run on hub-heavy clusterings.
+    #[test]
+    fn classify_is_the_same_in_every_part_count() {
+        let graphs = [
+            gen::rmat_social(9, 8, 2),
+            gen::planted_partition(6, 30, 0.5, 0.08, 4),
+            gen::star(50),
+            CsrGraph::empty(3),
+        ];
+        let mut hubs = 0;
+        for (i, g) in graphs.iter().enumerate() {
+            for (eps, mu) in [(0.2, 2), (0.3, 3), (0.5, 2)] {
+                let c = pscan(g, ScanParams::new(eps, mu)).clustering;
+                let one = c.classify_in(g, 1);
+                hubs += one.iter().filter(|&&k| k == UnclusteredClass::Hub).count();
+                for parts in [2, 3, 7] {
+                    assert_eq!(
+                        c.classify_in(g, parts),
+                        one,
+                        "graph {i}, ε {eps}, {parts} parts"
+                    );
+                }
+            }
+        }
+        assert!(hubs >= 50, "only {hubs} hubs");
     }
 
     #[test]

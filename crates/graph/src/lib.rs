@@ -36,6 +36,7 @@ pub mod datasets;
 pub mod delta;
 pub mod gen;
 pub mod io;
+pub mod par;
 pub mod rng;
 pub mod stats;
 

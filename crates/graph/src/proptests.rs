@@ -179,9 +179,22 @@ fn read_edge_list_by_lines<R: BufRead>(reader: R) -> std::io::Result<CsrGraph> {
 /// differently blanked: the byte count (the reference counts one byte per
 /// newline it strips, and adds one for a missing final newline) and the
 /// wording of a UTF-8 error.
-fn verdict(r: std::io::Result<CsrGraph>) -> Result<CsrGraph, (std::io::ErrorKind, String)> {
-    r.map_err(|e| {
-        let msg = e.to_string();
+fn verdict(r: std::io::Result<CsrGraph>) -> Verdict {
+    blank(exact(r))
+}
+
+/// A parser's verdict: the graph, whose equality covers the offsets, the
+/// neighbors and the reverse-edge index, or the error's kind and message.
+type Verdict = Result<CsrGraph, (std::io::ErrorKind, String)>;
+
+/// The verdict kept whole.
+fn exact(r: std::io::Result<CsrGraph>) -> Verdict {
+    r.map_err(|e| (e.kind(), e.to_string()))
+}
+
+/// [`verdict`]'s blanking applied to a whole verdict.
+fn blank(v: Verdict) -> Verdict {
+    v.map_err(|(kind, msg)| {
         let msg = if msg.contains("UTF-8") {
             "UTF-8".to_string()
         } else if let Some((head, _)) = msg
@@ -192,7 +205,7 @@ fn verdict(r: std::io::Result<CsrGraph>) -> Result<CsrGraph, (std::io::ErrorKind
         } else {
             msg
         };
-        (e.kind(), msg)
+        (kind, msg)
     })
 }
 
@@ -274,10 +287,13 @@ fn mutated_edge_list(rng: &mut SplitMix64) -> Vec<u8> {
     text
 }
 
-/// The chunked byte parser gives every input the reference's verdict:
+/// The blocked byte parser gives every input the reference's verdict:
 /// the same graph, or an error of the same kind and message. Covers
-/// mutated edge lists read at once and through a trickling reader, and
-/// lines longer than the read chunk.
+/// mutated edge lists read at once and through a trickling reader, at 1,
+/// 2, 3 and 7 parts with blocks of a few bytes, which split lines and
+/// cut parts short of a line, and lines longer than the read block. Every
+/// part count gives exactly the one-part verdict, byte counts and UTF-8
+/// wording included.
 #[test]
 fn edge_list_parser_matches_line_reference() {
     let (mut accepted, mut rejected) = (0usize, 0usize);
@@ -292,14 +308,25 @@ fn edge_list_parser_matches_line_reference() {
             "seed {seed}: {:?}",
             String::from_utf8_lossy(&text)
         );
+        let block = 1 + rng.gen_index(40);
+        let one = exact(io::read_edge_list_in(&text[..], 1, block));
+        assert_eq!(blank(one.clone()), want, "seed {seed}, block {block}");
+        let parts = [2, 3, 7][seed as usize % 3];
+        let many = exact(io::read_edge_list_in(&text[..], parts, block));
+        assert_eq!(many, one, "seed {seed}: {parts} parts, {block}-byte blocks");
         if seed % 4 == 0 {
-            let trickle = Trickle {
-                data: &text,
-                calls: 0,
-                rng: SplitMix64::seed_from_u64(seed),
-            };
-            let got = verdict(io::read_edge_list(trickle));
-            assert_eq!(got, want, "trickled seed {seed}");
+            for (parts, block) in [(1, crate::par::TEXT_UNIT), (parts, block)] {
+                let trickle = Trickle {
+                    data: &text,
+                    calls: 0,
+                    rng: SplitMix64::seed_from_u64(seed),
+                };
+                let got = exact(io::read_edge_list_in(trickle, parts, block));
+                assert_eq!(
+                    got, one,
+                    "trickled seed {seed}: {parts} parts, {block}-byte blocks"
+                );
+            }
         }
         if want.is_ok() {
             accepted += 1;
@@ -310,17 +337,60 @@ fn edge_list_parser_matches_line_reference() {
     // Both verdicts are common, so neither side of the parity goes untested.
     assert!(accepted > 300 && rejected > 300, "{accepted} / {rejected}");
 
-    // Lines longer than the read chunk: a comment, and a run of blanks
+    // Lines longer than the read buffer: a comment, and a run of blanks
     // inside an edge line.
-    let long = io::READ_CHUNK * 5 / 2;
-    let mut text = b"# ".to_vec();
-    text.extend(std::iter::repeat_n(b'c', long));
-    text.extend_from_slice(b"\n0 1\n2");
-    text.extend(std::iter::repeat_n(b' ', long / 2));
-    text.extend_from_slice(b"3\n\n4 5");
-    let want = verdict(read_edge_list_by_lines(&text[..]));
-    assert_eq!(want.as_ref().map(CsrGraph::num_edges), Ok(3));
-    assert_eq!(verdict(io::read_edge_list(&text[..])), want);
+    for (parts, block) in [(1, crate::par::TEXT_UNIT), (2, 4096), (3, 1000), (7, 64)] {
+        let long = block * 5 / 2;
+        let mut text = b"# ".to_vec();
+        text.extend(std::iter::repeat_n(b'c', long));
+        text.extend_from_slice(b"\n0 1\n2");
+        text.extend(std::iter::repeat_n(b' ', long / 2));
+        text.extend_from_slice(b"3\n\n4 5");
+        let want = verdict(read_edge_list_by_lines(&text[..]));
+        assert_eq!(want.as_ref().map(CsrGraph::num_edges), Ok(3));
+        let got = io::read_edge_list_in(&text[..], parts, block);
+        assert_eq!(verdict(got), want, "{parts} parts, {block}-byte blocks");
+    }
+}
+
+/// Every part count reports the first bad line of the file, on its line
+/// in the file, even when later parts hold bad lines too, and the first
+/// line naming the largest id.
+#[test]
+fn edge_list_parts_report_the_first_line_in_file_order() {
+    let mut text = String::new();
+    for i in 0..400 {
+        text.push_str(&format!("{i} {}\n", i + 1));
+    }
+    let bad = |lines: &[usize]| {
+        let mut t: Vec<String> = text.lines().map(str::to_string).collect();
+        for &l in lines {
+            t[l] = "7 x".to_string();
+        }
+        t.join("\n")
+    };
+    for parts in [1, 2, 3, 7] {
+        for block in [8, 64, 500, 5000] {
+            let read = |t: &str| exact(io::read_edge_list_in(t.as_bytes(), parts, block));
+            for lines in [&[0][..], &[399], &[250, 3, 399], &[17, 18]] {
+                let first = lines.iter().min().unwrap() + 1;
+                let msg = format!("malformed edge on line {first}");
+                assert_eq!(
+                    read(&bad(lines)),
+                    Err((std::io::ErrorKind::InvalidData, msg)),
+                    "{parts} parts, {block}-byte blocks, bad lines {lines:?}"
+                );
+            }
+            let far = format!("{text}5 2000000\n1 2000000\n");
+            let msg = "vertex id 2000000 on line 401 is out of proportion";
+            let err = read(&far).unwrap_err();
+            assert!(
+                err.1.starts_with(msg),
+                "{parts} parts, {block}-byte blocks: {}",
+                err.1
+            );
+        }
+    }
 }
 
 #[test]

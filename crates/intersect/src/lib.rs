@@ -44,7 +44,7 @@ pub mod simd_block;
 pub mod similarity;
 
 pub use kernel::Kernel;
-pub use similarity::{EpsilonThreshold, Similarity};
+pub use similarity::{DegreeBounds, EpsilonThreshold, Similarity};
 
 #[cfg(test)]
 mod proptests;

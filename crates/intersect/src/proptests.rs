@@ -269,6 +269,34 @@ fn min_cn_is_exact_threshold() {
     }
 }
 
+/// The degree thresholds give `prune_by_degree`'s label for every pair
+/// of degrees up to 4096, at ε from `new`, from exact ratios and at 1.
+#[test]
+fn degree_bounds_match_prune_by_degree() {
+    let thresholds = [
+        EpsilonThreshold::new(0.2),
+        EpsilonThreshold::new(0.4),
+        EpsilonThreshold::new(0.6),
+        EpsilonThreshold::new(1.0),
+        EpsilonThreshold::from_ratio(1, 3),
+        EpsilonThreshold::from_ratio(7, 10),
+        EpsilonThreshold::from_ratio(999, 1000),
+        EpsilonThreshold::from_ratio(1, 10_000),
+    ];
+    for t in thresholds {
+        for d_u in 0..=4096 {
+            let bounds = t.degree_bounds(d_u);
+            for d_v in 0..=4096 {
+                assert_eq!(
+                    bounds.label(d_v),
+                    t.prune_by_degree(d_u, d_v),
+                    "{t:?}, d_u {d_u}, d_v {d_v}: {bounds:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn prune_by_degree_never_contradicts_full_computation() {
     for seed in 0..256u64 {

@@ -143,6 +143,44 @@ impl EpsilonThreshold {
         }
     }
 
+    /// The labels [`Self::prune_by_degree`] gives every edge of an
+    /// endpoint of degree `d_u`, as three degree thresholds, so that a
+    /// pass over many edges of equal-degree endpoints compares integers
+    /// instead of multiplying per edge.
+    ///
+    /// With `q = num²·(d_u+1)` and `b = d_v`, the edge is `NSim` when
+    /// `q·(b+1) > (min(d_u, b)+2)²·den²`. For `b ≥ d_u` that is linear in
+    /// `b`, so it holds from `hi` up. For `b < d_u` the difference
+    /// `q·(b+1) − (b+2)²·den²` is concave in `b` and its value at 0 equals
+    /// its slope there, so it is positive on a prefix `[0, lo)` or nowhere.
+    /// `Sim` is `q·(b+1) ≤ 4·den²`, which holds below `sim`. All three
+    /// are exact: divisions and a binary search in `u128`.
+    pub fn degree_bounds(&self, d_u: usize) -> DegreeBounds {
+        let num2 = (self.num as u128).pow(2);
+        let den2 = (self.den as u128).pow(2);
+        let a = d_u as u128;
+        let q = num2 * (a + 1);
+        // The smallest b with q·(b+1) > x is ⌊x / q⌋.
+        let sim = 4 * den2 / q;
+        let hi = a.max((a + 2).pow(2) * den2 / q);
+        let nsim_below = |b: u128| q * (b + 1) > (b + 2).pow(2) * den2;
+        let (mut lo, mut top) = (0u128, a);
+        while lo < top {
+            let mid = lo + (top - lo) / 2;
+            if nsim_below(mid) {
+                lo = mid + 1;
+            } else {
+                top = mid;
+            }
+        }
+        let clamp = |x: u128| usize::try_from(x).unwrap_or(usize::MAX);
+        DegreeBounds {
+            lo: clamp(lo),
+            hi: clamp(hi),
+            sim: clamp(sim),
+        }
+    }
+
     /// Evaluates the full similarity predicate given an exact intersection
     /// size `|Γ(u) ∩ Γ(v)|` (for testing and the naive reference path).
     pub fn is_similar(&self, gamma_cap: u64, d_u: usize, d_v: usize) -> bool {
@@ -156,6 +194,32 @@ impl EpsilonThreshold {
         let lhs = (cn as u128) * (cn as u128) * (self.den as u128) * (self.den as u128);
         let rhs = (self.num as u128) * (self.num as u128) * denom;
         lhs >= rhs
+    }
+}
+
+/// [`EpsilonThreshold::prune_by_degree`] for one endpoint degree, from
+/// [`EpsilonThreshold::degree_bounds`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DegreeBounds {
+    /// Degrees below this are `NSim`.
+    lo: usize,
+    /// Degrees from this up are `NSim`.
+    hi: usize,
+    /// Other degrees below this are `Sim`, the rest `Unknown`.
+    sim: usize,
+}
+
+impl DegreeBounds {
+    /// The label of an edge to an endpoint of degree `d_v`.
+    #[inline]
+    pub fn label(&self, d_v: usize) -> Similarity {
+        if d_v < self.lo || d_v >= self.hi {
+            Similarity::NSim
+        } else if d_v < self.sim {
+            Similarity::Sim
+        } else {
+            Similarity::Unknown
+        }
     }
 }
 
