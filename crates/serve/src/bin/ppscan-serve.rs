@@ -18,6 +18,10 @@
 //! summary JSON the serve benchmark embeds in its reports (plus a final
 //! metrics snapshot on stderr).
 //!
+//! `--threads` sets the workers each query and index build runs on;
+//! reading a text graph splits over every core the process may run on,
+//! so `taskset` is what confines it.
+//!
 //! Both modes run a stall watchdog (`--watchdog-secs`, 0 to disable)
 //! and install a panic hook that dumps the flight recorder to stderr,
 //! so a wedged or crashing server leaves its last moments behind.

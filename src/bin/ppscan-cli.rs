@@ -11,6 +11,11 @@
 //!
 //! Graph files ending in `.bin` use the compact binary CSR format;
 //! anything else is parsed as a SNAP-style edge list.
+//!
+//! `--threads` sets ppSCAN's thread count only. Reading a text graph,
+//! building its CSR and `--classify` split their work over every core
+//! the process may run on (`std::thread::available_parallelism()`), so
+//! `taskset` is what confines them; their output is the same either way.
 
 use ppscan::prelude::*;
 use ppscan_core::ppscan::ppscan as run_ppscan;
@@ -149,7 +154,10 @@ fn cmd_stats(args: &[String]) -> i32 {
 fn cmd_cluster(args: &[String]) -> i32 {
     let usage = "usage: ppscan-cli cluster <graph> --eps E --mu M \
                  [--threads N] [--kernel merge|pivot-avx512|block-avx512|...] \
-                 [--output FILE] [--classify]";
+                 [--output FILE] [--classify]\n\
+                 --threads N sets ppSCAN's threads; reading the graph and \
+                 --classify split over every core the process may use \
+                 (confine them with taskset)";
     if args.is_empty() || args.iter().any(|a| a == "--help") {
         eprintln!("{usage}");
         return if args.is_empty() { 2 } else { 0 };
